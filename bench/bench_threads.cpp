@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph_input.hpp"
+#include "machine.hpp"
 #include "mpx/mpx.hpp"
 #include "table.hpp"
 
@@ -65,7 +67,7 @@ void write_json(const std::string& path, const std::vector<Sample>& samples,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"threads\",\n");
-  std::fprintf(f, "  \"hardware_threads\": %d,\n", mpx::max_threads());
+  mpx::bench::write_machine_json(f);
   std::fprintf(f, "  \"beta\": %g,\n", beta);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -90,7 +92,8 @@ void write_json(const std::string& path, const std::vector<Sample>& samples,
 int main(int argc, char** argv) {
   using namespace mpx;
   bench::section("E8: thread scaling of partition()");
-  std::printf("hardware threads available: %d\n", max_threads());
+  std::printf("hardware threads: %u, OpenMP default team: %d\n",
+              std::thread::hardware_concurrency(), max_threads());
 
   std::string out = "BENCH_threads.json";
   int reps = 3;

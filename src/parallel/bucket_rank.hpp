@@ -6,8 +6,11 @@
 // have a known, near-uniform distribution (frac(delta_max - delta) for
 // exponential shifts, 64-bit counter hashes for random permutations), so a
 // counting pass over a monotone bucket map places every key to within a
-// small bucket in O(n) work, and a per-bucket insertion-sort pass over
-// contiguous (key, id) records finishes the order exactly.
+// small bucket in O(n) work, and a per-bucket finishing pass over
+// contiguous (key, id) records orders each bucket exactly. The counting
+// pass is the standard parallel-radix layout (per-chunk histograms, one
+// scan, private-cursor scatter), so it scales with the team and touches
+// no shared counter.
 //
 // The produced order is bitwise-identical to sorting by (key, id): the
 // bucket map is monotone (key1 < key2 implies bucket(key1) <= bucket(key2)
@@ -21,12 +24,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/scan.hpp"
 #include "support/assert.hpp"
 
 #if defined(_OPENMP)
@@ -45,16 +45,18 @@ struct KeyedItem {
 };
 
 /// Reusable scratch for bucketed_sort_ids, sized on first use and stable
-/// afterwards: warm calls at the same n (and data) allocate nothing.
+/// afterwards: warm calls at the same n, data and thread count allocate
+/// nothing.
 template <typename Key>
 struct BucketSortScratch {
   /// Scatter destination; holds the sorted (key, id) records on return.
   std::vector<KeyedItem<Key>> items;
-  /// Bucket counters; after the call, bucket_ends[b] is the end offset of
-  /// bucket b in `items` (its start is bucket_ends[b - 1], or 0).
+  /// After the call, bucket_ends[b] is the end offset of bucket b in
+  /// `items` (its start is bucket_ends[b - 1], or 0).
   std::vector<std::uint32_t> bucket_ends;
-  /// Block partial sums for the parallel prefix scan over bucket_ends.
-  std::vector<std::uint32_t> scan_scratch;
+  /// One row of num_buckets counters per chunk: chunk c's histogram, which
+  /// the scan turns into c's private write cursor in every bucket.
+  std::vector<std::uint32_t> chunk_cursors;
   /// Per-thread scratch for the second-level segment refinement: a copy
   /// buffer (one segment) and sub-bucket counters, both cache-sized.
   struct SegmentScratch {
@@ -84,6 +86,26 @@ struct BucketSortScratch {
 
 namespace detail {
 
+/// Buckets at most this long finish with an insertion sort; longer ones go
+/// through refine_segment.
+inline constexpr std::size_t kInsertionSortMax = 48;
+
+/// Sub-bucket count refine_segment uses for a segment of `len` records.
+[[nodiscard]] inline std::size_t sub_bucket_count(std::size_t len) {
+  std::size_t sub_buckets = 64;
+  while (sub_buckets * 4 < len && sub_buckets < 4096) sub_buckets <<= 1;
+  return sub_buckets;
+}
+
+/// Grow `seg` to what refine_segment needs for a segment of `len` records.
+template <typename Key>
+void reserve_segment(typename BucketSortScratch<Key>::SegmentScratch& seg,
+                     std::size_t len) {
+  if (seg.buf.size() < len) seg.buf.resize(len);
+  const std::size_t counters = sub_bucket_count(len) + 1;
+  if (seg.counts.size() < counters) seg.counts.resize(counters);
+}
+
 /// Ascending insertion sort on the total (key, id) order — the terminal
 /// sorter for runs small enough that quadratic beats everything.
 template <typename Key>
@@ -112,7 +134,8 @@ void insertion_sort_items(KeyedItem<Key>* first, KeyedItem<Key>* last) {
 /// branch per element — this is where the bucketed rank's speedup over
 /// parallel_sort actually comes from. Degenerate key ranges (all keys in
 /// a few sub-buckets) only push work back into the per-sub-bucket sorts,
-/// never produce a wrong order.
+/// never produce a wrong order. Expects the segment's ids ascending, as
+/// bucketed_sort_ids' stable scatter leaves them.
 template <typename Key>
 void refine_segment(KeyedItem<Key>* first, std::size_t len,
                     typename BucketSortScratch<Key>::SegmentScratch& seg) {
@@ -122,17 +145,10 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
     min_key = std::min(min_key, first[i].key);
     max_key = std::max(max_key, first[i].key);
   }
-  if (!(min_key < max_key)) {
-    // All keys equal: the order is by id alone; a comparison sort on the
-    // predictable id-only branch is fine.
-    std::sort(first, first + len,
-              [](const KeyedItem<Key>& a, const KeyedItem<Key>& b) {
-                return a.id < b.id;
-              });
-    return;
-  }
-  std::size_t sub_buckets = 64;
-  while (sub_buckets * 4 < len && sub_buckets < 4096) sub_buckets <<= 1;
+  // All keys equal: the order is by id alone, which the ascending ids
+  // already are.
+  if (!(min_key < max_key)) return;
+  const std::size_t sub_buckets = sub_bucket_count(len);
   // Affine monotone map of [min, max] onto [0, sub_buckets): every
   // floating-point step (subtract min, multiply a positive scale,
   // truncate) is monotone under rounding, and the clamp catches the
@@ -144,8 +160,7 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
         static_cast<std::size_t>(static_cast<double>(key - min_key) * scale),
         sub_buckets - 1);
   };
-  if (seg.counts.size() < sub_buckets + 1) seg.counts.resize(sub_buckets + 1);
-  if (seg.buf.size() < len) seg.buf.resize(len);
+  reserve_segment<Key>(seg, len);
   std::fill_n(seg.counts.begin(), sub_buckets + 1, 0u);
   for (std::size_t i = 0; i < len; ++i) ++seg.counts[sub_of(first[i].key) + 1];
   for (std::size_t s = 1; s <= sub_buckets; ++s) {
@@ -159,7 +174,7 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
     const std::uint32_t lo = s == 0 ? 0 : seg.counts[s - 1];
     const std::uint32_t hi = seg.counts[s];
     if (hi - lo < 2) continue;
-    if (hi - lo <= 48) {
+    if (hi - lo <= kInsertionSortMax) {
       insertion_sort_items(seg.buf.data() + lo, seg.buf.data() + hi);
     } else {
       std::sort(seg.buf.data() + lo, seg.buf.data() + hi,
@@ -180,61 +195,127 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
 ///  * bucket_of is monotone in the key order: key1 < key2 implies
 ///    bucket_of(key1) <= bucket_of(key2) (equal keys, equal bucket).
 /// key_of is invoked twice per item (count + scatter) and must be a pure
-/// function of its argument. Deterministic for any thread count: the
-/// scatter order inside a bucket races benignly, and the finishing sort on
-/// the total (key, id) order erases it.
+/// function of its argument.
+///
+/// The count and scatter use the parallel-radix layout: [0, n) splits into
+/// one contiguous chunk per thread of the OpenMP team (a single chunk below
+/// kSerialGrain), each chunk histograms its ids into its own row of
+/// `chunk_cursors`, one exclusive scan in (bucket, chunk) order turns the
+/// rows into private write cursors, and each chunk scatters its ids in
+/// order through its own cursors. No counter is shared, so there are no
+/// atomics, and the scatter is stable: every bucket holds its ids in
+/// ascending order before the finishing pass. The finishing pass then
+/// sorts the buckets independently over the whole team. The result is
+/// identical for every thread count.
 template <typename Key, typename KeyFn, typename BucketFn>
 void bucketed_sort_ids(std::size_t n, std::size_t num_buckets, KeyFn&& key_of,
                        BucketFn&& bucket_of, BucketSortScratch<Key>& scratch) {
   MPX_EXPECTS(num_buckets > 0);
   scratch.items.resize(n);
   scratch.bucket_ends.resize(num_buckets);
-  if (n == 0) return;
-  parallel_for(std::size_t{0}, num_buckets,
-               [&](std::size_t b) { scratch.bucket_ends[b] = 0; });
-  parallel_for(std::size_t{0}, n, [&](std::size_t i) {
-    const std::size_t b = bucket_of(key_of(static_cast<std::uint32_t>(i)));
-    atomic_fetch_add(scratch.bucket_ends[b], std::uint32_t{1});
-  });
-  (void)exclusive_scan_inplace(std::span<std::uint32_t>(scratch.bucket_ends),
-                               scratch.scan_scratch);
-  // Scatter through the offsets; each fetch_add advances bucket b's cursor,
-  // so afterwards bucket_ends[b] has become bucket b's *end* offset.
-  parallel_for(std::size_t{0}, n, [&](std::size_t i) {
-    const Key key = key_of(static_cast<std::uint32_t>(i));
-    const std::size_t b = bucket_of(key);
-    const std::uint32_t pos =
-        atomic_fetch_add(scratch.bucket_ends[b], std::uint32_t{1});
-    scratch.items[pos] = KeyedItem<Key>{key, static_cast<std::uint32_t>(i)};
-  });
 #if defined(_OPENMP)
-  const std::size_t finish_threads =
-      static_cast<std::size_t>(omp_get_max_threads());
+  const std::size_t team =
+      n < kSerialGrain ? 1 : static_cast<std::size_t>(omp_get_max_threads());
 #else
-  const std::size_t finish_threads = 1;
+  const std::size_t team = 1;
 #endif
-  if (scratch.segment_scratch.size() < finish_threads) {
-    scratch.segment_scratch.resize(finish_threads);
+  // One chunk per team thread; if the runtime grants a smaller team, the
+  // worksharing loops below hand a thread several chunks.
+  scratch.chunk_cursors.resize(team * num_buckets);
+  if (scratch.segment_scratch.size() < team) {
+    scratch.segment_scratch.resize(team);
   }
-  parallel_for_dynamic(std::size_t{0}, num_buckets, [&](std::size_t b) {
-    const std::uint32_t lo = b == 0 ? 0 : scratch.bucket_ends[b - 1];
-    const std::uint32_t hi = scratch.bucket_ends[b];
-    if (hi - lo < 2) return;
-    KeyedItem<Key>* const first = scratch.items.data() + lo;
-    if (hi - lo <= 48) {
-      detail::insertion_sort_items(first, first + (hi - lo));
-      return;
+  const auto chunk_row = [&](std::size_t c) {
+    return scratch.chunk_cursors.data() + c * num_buckets;
+  };
+
+  const auto count_chunk = [&](std::size_t c) {
+    std::uint32_t* const row = chunk_row(c);
+    std::fill_n(row, num_buckets, std::uint32_t{0});
+    for (std::size_t i = c * n / team; i < (c + 1) * n / team; ++i) {
+      ++row[bucket_of(key_of(static_cast<std::uint32_t>(i)))];
     }
+  };
+
+  // Exclusive scan in (bucket, chunk) order: chunk c's cursor in bucket b
+  // starts after every earlier bucket and after chunks 0..c-1 of bucket b.
+  // Also sizes every thread's segment scratch for the largest bucket, so
+  // the dynamic finishing schedule never grows a buffer on a warm call.
+  const auto scan = [&] {
+    std::uint32_t offset = 0;
+    std::uint32_t largest = 0;
+    for (std::size_t b = 0; b < num_buckets; ++b) {
+      const std::uint32_t start = offset;
+      for (std::size_t c = 0; c < team; ++c) {
+        std::uint32_t& cursor = chunk_row(c)[b];
+        const std::uint32_t count = cursor;
+        cursor = offset;
+        offset += count;
+      }
+      scratch.bucket_ends[b] = offset;
+      largest = std::max(largest, offset - start);
+    }
+    if (largest > detail::kInsertionSortMax) {
+      for (std::size_t t = 0; t < team; ++t) {
+        detail::reserve_segment<Key>(scratch.segment_scratch[t], largest);
+      }
+    }
+  };
+
+  const auto scatter_chunk = [&](std::size_t c) {
+    std::uint32_t* const row = chunk_row(c);
+    for (std::size_t i = c * n / team; i < (c + 1) * n / team; ++i) {
+      const Key key = key_of(static_cast<std::uint32_t>(i));
+      scratch.items[row[bucket_of(key)]++] =
+          KeyedItem<Key>{key, static_cast<std::uint32_t>(i)};
+    }
+  };
+
+  const auto finish_bucket =
+      [&](std::size_t b, typename BucketSortScratch<Key>::SegmentScratch& seg) {
+        const std::uint32_t lo = b == 0 ? 0 : scratch.bucket_ends[b - 1];
+        const std::uint32_t hi = scratch.bucket_ends[b];
+        if (hi - lo < 2) return;
+        KeyedItem<Key>* const first = scratch.items.data() + lo;
+        if (hi - lo <= detail::kInsertionSortMax) {
+          detail::insertion_sort_items(first, first + (hi - lo));
+        } else {
+          detail::refine_segment(first, hi - lo, seg);
+        }
+      };
+
+  if (team == 1) {
+    count_chunk(0);
+    scan();
+    scatter_chunk(0);
+    for (std::size_t b = 0; b < num_buckets; ++b) {
+      finish_bucket(b, scratch.segment_scratch[0]);
+    }
+    return;
+  }
 #if defined(_OPENMP)
-    // omp_get_thread_num() is 0 outside a parallel region, so this also
-    // covers the serial small-trip path of parallel_for_dynamic.
-    auto& seg = scratch.segment_scratch[static_cast<std::size_t>(
-        omp_get_thread_num())];
-#else
-    auto& seg = scratch.segment_scratch[0];
+  const auto chunk_count = static_cast<std::int64_t>(team);
+  const auto bucket_count = static_cast<std::int64_t>(num_buckets);
+#pragma omp parallel num_threads(static_cast<int>(team))
+  {
+#pragma omp for schedule(static, 1)
+    for (std::int64_t c = 0; c < chunk_count; ++c) {
+      count_chunk(static_cast<std::size_t>(c));
+    }
+#pragma omp single
+    scan();
+#pragma omp for schedule(static, 1)
+    for (std::int64_t c = 0; c < chunk_count; ++c) {
+      scatter_chunk(static_cast<std::size_t>(c));
+    }
+    auto& seg =
+        scratch.segment_scratch[static_cast<std::size_t>(omp_get_thread_num())];
+#pragma omp for schedule(dynamic, 4) nowait
+    for (std::int64_t b = 0; b < bucket_count; ++b) {
+      finish_bucket(static_cast<std::size_t>(b), seg);
+    }
+  }
 #endif
-    detail::refine_segment(first, hi - lo, seg);
-  });
 }
 
 }  // namespace mpx

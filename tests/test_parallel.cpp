@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "parallel/atomics.hpp"
+#include "parallel/bucket_rank.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
@@ -201,6 +203,64 @@ TEST(Sort, CustomComparator) {
   }
   parallel_sort(std::span<std::uint32_t>(data), std::greater<>{});
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end(), std::greater<>{}));
+}
+
+TEST(BucketedSortIds, MatchesSortByKeyThenIdAtEveryThreadCount) {
+  // Against std::sort by (key, id): the records in `items` and every
+  // bucket's end offset. The key kinds cover near-uniform buckets, a skewed
+  // set with ~15/16 of the keys (1000 distinct values, so many ties) in
+  // bucket 0 — a segment long enough to hit the 4096-sub-bucket cap — and
+  // all keys equal. The n ladder straddles kSerialGrain, where the rank
+  // switches from one chunk to one chunk per thread. One scratch serves the
+  // whole sweep, so stale contents from a larger call must not leak.
+  constexpr std::size_t kBuckets = 256;
+  const auto bucket_of = [](std::uint64_t key) {
+    return static_cast<std::size_t>(key >> 56);
+  };
+  enum class Keys { kUniform, kSkewed, kAllEqual };
+  const auto key_of = [](Keys kind, std::uint32_t i) -> std::uint64_t {
+    const std::uint64_t h = hash_stream(31, i);
+    switch (kind) {
+      case Keys::kUniform:
+        return h;
+      case Keys::kSkewed:
+        return (h & 15) != 0 ? (h >> 8) % 1000 : h;
+      case Keys::kAllEqual:
+        break;
+    }
+    return std::uint64_t{1} << 60;
+  };
+  BucketSortScratch<std::uint64_t> scratch;
+  for (const Keys kind : {Keys::kUniform, Keys::kSkewed, Keys::kAllEqual}) {
+    for (const std::size_t n : {0, 1, 2047, 2048, 2049, 100000}) {
+      std::vector<std::pair<std::uint64_t, std::uint32_t>> expected(n);
+      std::vector<std::uint32_t> expected_ends(kBuckets, 0);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        expected[i] = {key_of(kind, i), i};
+        ++expected_ends[bucket_of(expected[i].first)];
+      }
+      std::sort(expected.begin(), expected.end());
+      std::partial_sum(expected_ends.begin(), expected_ends.end(),
+                       expected_ends.begin());
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        ScopedNumThreads guard(threads);
+        bucketed_sort_ids<std::uint64_t>(
+            n, kBuckets, [&](std::uint32_t i) { return key_of(kind, i); },
+            bucket_of, scratch);
+        const auto context = ::testing::Message()
+                             << "keys=" << static_cast<int>(kind)
+                             << " n=" << n << " threads=" << threads;
+        ASSERT_EQ(scratch.items.size(), n) << context;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(scratch.items[i].key, expected[i].first)
+              << context << " i=" << i;
+          ASSERT_EQ(scratch.items[i].id, expected[i].second)
+              << context << " i=" << i;
+        }
+        ASSERT_EQ(scratch.bucket_ends, expected_ends) << context;
+      }
+    }
+  }
 }
 
 TEST(Atomics, FetchMinLowersMonotonically) {

@@ -46,6 +46,18 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms (std::get_temporary_buffer, under parallel_sort's
+// merges) must come from malloc too, or the free() below mismatches them.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -162,8 +174,9 @@ TEST(ShiftRankIdentity, ParallelPermutationMatchesSortReference) {
 }
 
 TEST(ShiftRankIdentity, ThreadCountInvariant) {
-  // The scatter order inside a bucket is racy; the finishing sort must
-  // erase it at every thread count.
+  // Each thread scatters its own contiguous chunk of ids, so the chunk
+  // boundaries move with the thread count; the order must not. 3 threads
+  // split n unevenly; 8 oversubscribes a smaller host.
   const vertex_t n = 50000;
   for (const ShiftDistribution dist : kDistributions) {
     for (const TieBreak tb : kTieBreaks) {
@@ -173,7 +186,7 @@ TEST(ShiftRankIdentity, ThreadCountInvariant) {
         ScopedNumThreads guard(1);
         at_one = generate_shifts(n, o);
       }
-      for (const int threads : {2, 8}) {
+      for (const int threads : {2, 3, 8}) {
         ScopedNumThreads guard(threads);
         const Shifts s = generate_shifts(n, o);
         ASSERT_EQ(s.rank, at_one.rank)
@@ -238,41 +251,79 @@ TEST(ShiftRankIdentity, OwnerSettleIdenticalAcrossFixtureCorpus) {
   }
 }
 
+// Both warm-run tests pin a 4-thread team: the finishing pass hands buckets
+// to threads dynamically, so the largest bucket can land on any thread's
+// segment buffer, and a thread whose buffer was not sized up front would
+// allocate on a warm call. Whether it does depends on the schedule, so the
+// tests also check the rule itself after every call: each team thread's
+// buffer already holds the largest bucket. Several seeds move that bucket.
+constexpr int kWarmThreads = 4;
+constexpr std::uint64_t kWarmSeeds[] = {5, 6, 7, 8, 23};
+
+void expect_segments_hold_largest_bucket(const ShiftWorkspace& ws) {
+  const BucketSortScratch<double>& rs = ws.rank_scratch;
+  std::uint32_t largest = 0;
+  std::uint32_t start = 0;
+  for (const std::uint32_t end : rs.bucket_ends) {
+    largest = std::max(largest, end - start);
+    start = end;
+  }
+  ASSERT_GE(rs.segment_scratch.size(), std::size_t{kWarmThreads});
+  for (std::size_t t = 0; t < kWarmThreads; ++t) {
+    EXPECT_GE(rs.segment_scratch[t].buf.size(), largest) << "thread=" << t;
+  }
+}
+
 TEST(ShiftRankIdentity, WarmWorkspaceRunsAllocateNothing) {
-  // The workspace-owned scratch (rank records, bucket counters, scan block
-  // sums) and the Shifts vectors are sized by the first call; repeat calls
-  // at the same n must not touch the allocator at all.
+  // The workspace-owned scratch (rank records, per-chunk bucket cursors,
+  // per-thread segment buffers) and the Shifts vectors are sized by the
+  // first call; repeat calls at the same n must not touch the allocator.
+  ScopedNumThreads guard(kWarmThreads);
   const vertex_t n = 60000;
-  for (const TieBreak tb :
-       {TieBreak::kFractionalShift, TieBreak::kLexicographic}) {
-    const PartitionOptions o = opts(0.1, 5, ShiftDistribution::kExponential, tb);
-    Shifts s;
-    ShiftWorkspace ws;
-    generate_shifts(n, o, s, &ws);  // cold: sizes everything
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int rep = 0; rep < 3; ++rep) generate_shifts(n, o, s, &ws);
-    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after, before) << "tie_break=" << static_cast<int>(tb);
+  for (const std::uint64_t seed : kWarmSeeds) {
+    for (const TieBreak tb :
+         {TieBreak::kFractionalShift, TieBreak::kLexicographic}) {
+      const PartitionOptions o =
+          opts(0.1, seed, ShiftDistribution::kExponential, tb);
+      Shifts s;
+      ShiftWorkspace ws;
+      generate_shifts(n, o, s, &ws);  // cold: sizes everything
+      const std::uint64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      for (int rep = 0; rep < 3; ++rep) generate_shifts(n, o, s, &ws);
+      const std::uint64_t after =
+          g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(after, before)
+          << "seed=" << seed << " tie_break=" << static_cast<int>(tb);
+      if (tb == TieBreak::kFractionalShift) {
+        expect_segments_hold_largest_bucket(ws);
+      }
+    }
   }
 }
 
 TEST(ShiftRankIdentity, WarmBasisRunsAllocateNothing) {
   // Same property for the batch path: after one beta warms the workspace,
   // further betas (same n) are allocation-free.
+  ScopedNumThreads guard(kWarmThreads);
   const vertex_t n = 60000;
-  const PartitionOptions base = opts(0.5, 23);
-  const ShiftBasis basis = make_shift_basis(n, base);
-  Shifts s;
-  ShiftWorkspace ws;
-  PartitionOptions o = base;
-  shifts_from_basis(basis, o, s, &ws);
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (const double beta : {0.2, 0.1, 0.05}) {
-    o.beta = beta;
+  for (const std::uint64_t seed : kWarmSeeds) {
+    const PartitionOptions base = opts(0.5, seed);
+    const ShiftBasis basis = make_shift_basis(n, base);
+    Shifts s;
+    ShiftWorkspace ws;
+    PartitionOptions o = base;
     shifts_from_basis(basis, o, s, &ws);
+    expect_segments_hold_largest_bucket(ws);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (const double beta : {0.2, 0.1, 0.05}) {
+      o.beta = beta;
+      shifts_from_basis(basis, o, s, &ws);
+      expect_segments_hold_largest_bucket(ws);
+    }
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before) << "seed=" << seed;
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before);
 }
 
 }  // namespace
