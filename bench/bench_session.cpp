@@ -7,7 +7,7 @@
 //    place instead of reallocating ~50n bytes per call; the win is the
 //    allocation+fault overhead, visible at rmat(20) scale.
 //  * batch multi-beta — DecompositionSession::run_batch over a beta ladder
-//    (shift draws generated once per seed, derived per beta) vs one
+//    (shift draws generated once per batch, derived per beta) vs one
 //    independent decompose() per beta.
 //
 // Writes the machine-readable trajectory artifact BENCH_session.json
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "graph_input.hpp"
+#include "machine.hpp"
 #include "mpx/mpx.hpp"
 #include "table.hpp"
 
@@ -152,6 +153,7 @@ void write_json(const std::string& path, const std::vector<Run>& runs,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"session\",\n");
+  mpx::bench::write_machine_json(f);
   std::fprintf(f, "  \"threads\": %d,\n", mpx::max_threads());
   std::fprintf(f, "  \"beta\": %g,\n  \"seed\": %llu,\n", beta,
                static_cast<unsigned long long>(seed));

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -31,390 +32,36 @@ void record_run_telemetry(obs::MetricsRegistry& registry,
   registry.histogram("decomp.total").record_seconds(telemetry.total_seconds);
 }
 
-DecompositionSession::DecompositionSession(CsrGraph g)
-    : graph_(std::move(g)), weighted_(false) {}
-
-DecompositionSession::DecompositionSession(WeightedCsrGraph g)
-    : wgraph_(std::move(g)), weighted_(true) {}
-
-DecompositionSession::DecompositionSession(
-    std::shared_ptr<storage::PagedGraph> g)
-    : pgraph_(std::move(g)), weighted_(false) {
-  MPX_EXPECTS(pgraph_ != nullptr);
-}
-
-DecompositionSession DecompositionSession::open_snapshot(
-    const std::string& path) {
-  return open_snapshot(path, SessionConfig{});
-}
-
-DecompositionSession DecompositionSession::open_snapshot(
-    const std::string& path, const SessionConfig& config) {
-  const io::SnapshotInfo info = io::read_snapshot_info(path);
-  // Paged mode: a cold unweighted snapshot that would not fit the budget
-  // materialized. Weighted cold files materialize regardless (the
-  // weighted algorithms run on in-memory graphs only — SessionConfig).
-  if (config.memory_budget_bytes > 0 && info.cold() && !info.weighted() &&
-      info.resident_bytes_estimate() > config.memory_budget_bytes) {
-    auto reader = std::make_shared<const io::SnapshotBlockReader>(path);
-    return DecompositionSession(std::make_shared<storage::PagedGraph>(
-        std::move(reader), config.memory_budget_bytes));
-  }
-  if (info.weighted()) {
-    return DecompositionSession(io::map_weighted_snapshot(path));
-  }
-  return DecompositionSession(io::map_snapshot(path));
-}
-
-DecompositionSession::DecompositionSession(DecompositionSession&&) noexcept =
-    default;
-DecompositionSession& DecompositionSession::operator=(
-    DecompositionSession&&) noexcept = default;
-DecompositionSession::~DecompositionSession() = default;
-
-const CsrGraph& DecompositionSession::topology() const {
-  if (paged()) {
-    throw std::logic_error(
-        "mpx: topology() is unavailable on a paged session — the graph is "
-        "never fully resident; use num_vertices()/num_edges() and the query "
-        "surface");
-  }
-  return weighted_ ? wgraph_.topology() : graph_;
-}
-
-const WeightedCsrGraph& DecompositionSession::weighted_graph() const {
-  MPX_EXPECTS(weighted_);
-  return wgraph_;
-}
-
-const storage::PagedGraph& DecompositionSession::paged_graph() const {
-  MPX_EXPECTS(paged());
-  return *pgraph_;
-}
-
-vertex_t DecompositionSession::num_vertices() const {
-  return paged() ? pgraph_->num_vertices() : topology().num_vertices();
-}
-
-edge_t DecompositionSession::num_edges() const {
-  return paged() ? pgraph_->num_edges() : topology().num_edges();
-}
-
-storage::ShardedBlockCache::Stats DecompositionSession::cache_stats() const {
-  return paged() ? pgraph_->cache().stats()
-                 : storage::ShardedBlockCache::Stats{};
-}
-
-DecompositionSession::Key DecompositionSession::key_of(
-    const DecompositionRequest& req) {
-  return Key(req.algorithm, std::bit_cast<std::uint64_t>(req.beta), req.seed,
-             static_cast<int>(req.tie_break),
-             static_cast<int>(req.distribution),
-             static_cast<int>(req.engine));
-}
-
-DecompositionSession::CacheEntry& DecompositionSession::entry_for(
-    const DecompositionRequest& req, const ShiftBasis* basis) {
-  const Key key = key_of(req);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  CacheEntry entry;
-  entry.result = paged()    ? decompose(*pgraph_, req, &workspace_, basis)
-                 : weighted_ ? decompose(wgraph_, req, &workspace_, basis)
-                             : decompose(graph_, req, &workspace_, basis);
-  if (metrics_ != nullptr) {
-    record_run_telemetry(*metrics_, entry.result.telemetry);
-  }
-  return cache_.emplace(key, std::move(entry)).first->second;
-}
-
-const ShiftBasis& DecompositionSession::basis_for(
-    const DecompositionRequest& req) {
-  const auto key = std::make_pair(req.seed, static_cast<int>(req.distribution));
-  const auto it = bases_.find(key);
-  if (it != bases_.end()) return it->second;
-  return bases_.emplace(key, make_shift_basis(num_vertices(),
-                                              req.partition_options()))
-      .first->second;
-}
-
-const DecompositionResult& DecompositionSession::run(
-    const DecompositionRequest& req) {
-  validate_request(req);
-  return entry_for(req).result;
-}
-
-std::vector<const DecompositionResult*> DecompositionSession::run_batch(
-    const DecompositionRequest& base, std::span<const double> betas) {
-  std::vector<const DecompositionResult*> results;
-  results.reserve(betas.size());
-  DecompositionRequest req = base;
-  // Validate every beta up front so a bad one cannot abandon the batch
-  // half-executed.
-  for (const double beta : betas) {
-    req.beta = beta;
-    validate_request(req);
-  }
-  const AlgorithmInfo* info = find_algorithm(base.algorithm);
-  const ShiftBasis* basis =
-      info != nullptr && info->uses_shifts && !betas.empty()
-          ? &basis_for(base)
-          : nullptr;
-  for (const double beta : betas) {
-    req.beta = beta;
-    results.push_back(&entry_for(req, basis).result);
-  }
-  return results;
-}
-
-const DecompositionResult* DecompositionSession::cached(
-    const DecompositionRequest& req) const {
-  const auto it = cache_.find(key_of(req));
-  return it != cache_.end() ? &it->second.result : nullptr;
-}
-
-void DecompositionSession::clear_cache() {
-  cache_.clear();
-  // The shift bases are cache too: one n-sized ShiftBasis per distinct
-  // (seed, distribution) ever batched. Keeping them across a clear would
-  // leak under request-key churn (seed sweeps, hostile clients) — the
-  // exact growth clear_cache() exists to stop. They are derived state;
-  // the next batch regenerates them bitwise-identically.
-  bases_.clear();
-}
-
-vertex_t DecompositionSession::owner_of(vertex_t v,
-                                        const DecompositionRequest& req) {
-  MPX_EXPECTS(v < num_vertices());
-  return run(req).owner[v];
-}
-
-cluster_t DecompositionSession::cluster_of(vertex_t v,
-                                           const DecompositionRequest& req) {
-  MPX_EXPECTS(v < num_vertices());
-  return run(req).cluster_of(v);
-}
-
-cluster_t DecompositionSession::num_clusters(const DecompositionRequest& req) {
-  return run(req).num_clusters();
-}
-
-// compute_boundary_edges is a template now (core/session.hpp): the same
-// scan serves in-memory and paged topologies.
-
-std::vector<Edge> DecompositionSession::compute_boundary(
-    const DecompositionResult& result) const {
-  return paged() ? compute_boundary_edges(*pgraph_, result)
-                 : compute_boundary_edges(topology(), result);
-}
-
-std::span<const Edge> DecompositionSession::boundary_arcs(
-    const DecompositionRequest& req) {
-  validate_request(req);
-  CacheEntry& entry = entry_for(req);
-  if (!entry.boundary.has_value()) {
-    entry.boundary = compute_boundary(entry.result);
-  }
-  return *entry.boundary;
-}
-
-std::uint32_t DecompositionSession::estimate_distance(
-    vertex_t u, vertex_t v, const DecompositionRequest& req) {
-  MPX_EXPECTS(u < num_vertices() && v < num_vertices());
-  validate_request(req);
-  CacheEntry& entry = entry_for(req);
-  if (entry.result.weighted()) {
-    throw std::invalid_argument(
-        "mpx: estimate_distance serves unweighted algorithms; '" +
-        req.algorithm + "' produces real-valued radii");
-  }
-  if (entry.oracle == nullptr) {
-    entry.oracle = paged()
-                       ? std::make_unique<DistanceOracle>(
-                             *pgraph_, entry.result.decomposition)
-                       : std::make_unique<DistanceOracle>(
-                             topology(), entry.result.decomposition);
-  }
-  return entry.oracle->estimate(u, v);
-}
-
-const DecompositionResult& DecompositionSession::materialize(
-    const DecompositionRequest& req) {
-  validate_request(req);
-  CacheEntry& entry = entry_for(req);
-  if (!entry.boundary.has_value()) {
-    entry.boundary = compute_boundary(entry.result);
-  }
-  if (!entry.result.weighted() && entry.oracle == nullptr) {
-    entry.oracle = paged()
-                       ? std::make_unique<DistanceOracle>(
-                             *pgraph_, entry.result.decomposition)
-                       : std::make_unique<DistanceOracle>(
-                             topology(), entry.result.decomposition);
-  }
-  return entry.result;
-}
-
-bool DecompositionSession::entry_is_materialized(const CacheEntry& entry) {
-  return entry.boundary.has_value() &&
-         (entry.result.weighted() || entry.oracle != nullptr);
-}
-
-bool DecompositionSession::materialized(
-    const DecompositionRequest& req) const {
-  const auto it = cache_.find(key_of(req));
-  return it != cache_.end() && entry_is_materialized(it->second);
-}
-
-const DecompositionSession::CacheEntry&
-DecompositionSession::materialized_entry(
-    const DecompositionRequest& req) const {
-  const auto it = cache_.find(key_of(req));
-  if (it == cache_.end() || !entry_is_materialized(it->second)) {
-    throw std::logic_error(
-        "mpx: const session query before materialize() for algorithm '" +
-        req.algorithm + "'; the concurrent read-only query path requires a "
-        "prior materialize(req) on this session");
-  }
-  return it->second;
-}
-
-vertex_t DecompositionSession::owner_of(vertex_t v,
-                                        const DecompositionRequest& req) const {
-  MPX_EXPECTS(v < num_vertices());
-  return materialized_entry(req).result.owner[v];
-}
-
-cluster_t DecompositionSession::cluster_of(
-    vertex_t v, const DecompositionRequest& req) const {
-  MPX_EXPECTS(v < num_vertices());
-  return materialized_entry(req).result.cluster_of(v);
-}
-
-cluster_t DecompositionSession::num_clusters(
-    const DecompositionRequest& req) const {
-  return materialized_entry(req).result.num_clusters();
-}
-
-std::span<const Edge> DecompositionSession::boundary_arcs(
-    const DecompositionRequest& req) const {
-  return *materialized_entry(req).boundary;
-}
-
-std::uint32_t DecompositionSession::estimate_distance(
-    vertex_t u, vertex_t v, const DecompositionRequest& req) const {
-  MPX_EXPECTS(u < num_vertices() && v < num_vertices());
-  const CacheEntry& entry = materialized_entry(req);
-  if (entry.result.weighted()) {
-    throw std::invalid_argument(
-        "mpx: estimate_distance serves unweighted algorithms; '" +
-        req.algorithm + "' produces real-valued radii");
-  }
-  return entry.oracle->estimate(u, v);
-}
-
-void DecompositionSession::save_cached(const DecompositionRequest& req,
-                                       const std::string& path) {
-  validate_request(req);
-  CacheEntry& entry = entry_for(req);
-  if (entry.result.weighted()) {
-    throw std::invalid_argument(
-        "mpx: save_cached supports unweighted algorithms; '" + req.algorithm +
-        "' produces real-valued radii");
-  }
-  io::save_decomposition(path, entry.result.decomposition,
-                         entry.result.telemetry);
-}
-
 namespace {
 
-/// Reject weighted requests on the load path. Mirror of save_cached: the
-/// text format carries no radii, so a weighted request can never be
-/// restored shape-consistently from it.
-void reject_weighted_load(const DecompositionRequest& req) {
-  const AlgorithmInfo* info = find_algorithm(req.algorithm);
-  if (info != nullptr && info->needs_weights) {
-    throw std::invalid_argument(
-        "mpx: load_cached supports unweighted algorithms; '" + req.algorithm +
-        "' produces real-valued radii");
-  }
+/// A view of `g` whose keepalive owns it, so copies (one per store entry)
+/// share the arrays instead of deep-copying them.
+CsrGraph shared_view(CsrGraph g) {
+  auto owner = std::make_shared<const CsrGraph>(std::move(g));
+  return CsrGraph(owner->offsets(), owner->targets(), owner,
+                  CsrGraph::Trusted{});
 }
 
-/// Probe + load + validate a save_cached() file into a result. Returns
-/// false (leaving `result` untouched) when the file does not exist;
-/// throws std::runtime_error on malformed content, a vertex-count
-/// mismatch, or a telemetry block naming a different algorithm. Shared by
-/// DecompositionSession::load_cached and SharedResultStore::load_cached.
-bool load_saved_result(const DecompositionRequest& req, const std::string& path,
-                       vertex_t num_vertices, DecompositionResult& result) {
-  {
-    std::ifstream probe(path);
-    if (!probe) return false;
-  }
-  io::LoadedDecomposition loaded = io::load_decomposition_full(path);
-  if (loaded.has_telemetry && loaded.telemetry.algorithm != req.algorithm) {
-    throw std::runtime_error(
-        "mpx: cached decomposition in " + path + " was produced by '" +
-        loaded.telemetry.algorithm + "', not the requested '" +
-        req.algorithm + "'");
-  }
-  if (loaded.decomposition.num_vertices() != num_vertices) {
-    throw std::runtime_error(
-        "mpx: cached decomposition in " + path + " has " +
-        std::to_string(loaded.decomposition.num_vertices()) +
-        " vertices; this session's graph has " +
-        std::to_string(num_vertices));
-  }
-  result.decomposition = std::move(loaded.decomposition);
-  detail::owner_settle_from_decomposition(result.decomposition, result);
-  if (loaded.has_telemetry) {
-    result.telemetry = std::move(loaded.telemetry);
-  } else {
-    result.telemetry.algorithm = req.algorithm;
-  }
-  return true;
+WeightedCsrGraph shared_view(WeightedCsrGraph g) {
+  auto owner = std::make_shared<const WeightedCsrGraph>(std::move(g));
+  const CsrGraph& topology = owner->topology();
+  return WeightedCsrGraph(
+      CsrGraph(topology.offsets(), topology.targets(), owner,
+               CsrGraph::Trusted{}),
+      owner->weights(), owner, CsrGraph::Trusted{});
 }
 
 }  // namespace
-
-bool DecompositionSession::load_cached(const DecompositionRequest& req,
-                                       const std::string& path) {
-  validate_request(req);
-  reject_weighted_load(req);
-  // An already-resident entry wins: results are deterministic in the
-  // request, so the computed entry equals anything a valid file holds,
-  // and skipping the load keeps every outstanding run()/boundary_arcs()
-  // reference into that entry valid (the documented lifetime contract).
-  if (cache_.find(key_of(req)) != cache_.end()) return true;
-  CacheEntry entry;
-  if (!load_saved_result(req, path, num_vertices(), entry.result)) {
-    return false;
-  }
-  cache_.emplace(key_of(req), std::move(entry));
-  return true;
-}
 
 // --- MaterializedDecomposition --------------------------------------------
 
 MaterializedDecomposition::MaterializedDecomposition(const CsrGraph& topology,
                                                      DecompositionResult result)
-    : result_(std::move(result)),
-      boundary_(compute_boundary_edges(topology, result_)) {
-  if (!result_.weighted()) {
-    oracle_ =
-        std::make_unique<DistanceOracle>(topology, result_.decomposition);
-  }
-}
+    : result_(std::move(result)), graph_(topology) {}
 
 MaterializedDecomposition::MaterializedDecomposition(
     const storage::PagedGraph& topology, DecompositionResult result)
-    : result_(std::move(result)),
-      boundary_(compute_boundary_edges(topology, result_)) {
-  if (!result_.weighted()) {
-    oracle_ =
-        std::make_unique<DistanceOracle>(topology, result_.decomposition);
-  }
-}
+    : result_(std::move(result)), paged_(topology.shared_from_this()) {}
 
 MaterializedDecomposition::~MaterializedDecomposition() = default;
 
@@ -432,12 +79,30 @@ cluster_t MaterializedDecomposition::num_clusters() const {
   return result_.num_clusters();
 }
 
+std::span<const Edge> MaterializedDecomposition::boundary_arcs() const {
+  std::call_once(boundary_once_, [this] {
+    boundary_ = paged_ != nullptr ? compute_boundary_edges(*paged_, result_)
+                                  : compute_boundary_edges(graph_, result_);
+  });
+  return boundary_;
+}
+
 std::uint32_t MaterializedDecomposition::estimate_distance(vertex_t u,
                                                            vertex_t v) const {
+  MPX_EXPECTS(u < result_.owner.size() && v < result_.owner.size());
   if (result_.weighted()) {
     throw std::invalid_argument(
         "mpx: estimate_distance serves unweighted algorithms; '" +
         result_.telemetry.algorithm + "' produces real-valued radii");
+  }
+  if (!distance_oracle_built()) {
+    std::call_once(oracle_once_, [this] {
+      oracle_ = paged_ != nullptr ? std::make_unique<DistanceOracle>(
+                                        *paged_, result_.decomposition)
+                                  : std::make_unique<DistanceOracle>(
+                                        graph_, result_.decomposition);
+      oracle_built_.store(true, std::memory_order_release);
+    });
   }
   return oracle_->estimate(u, v);
 }
@@ -445,14 +110,33 @@ std::uint32_t MaterializedDecomposition::estimate_distance(vertex_t u,
 // --- SharedResultStore ----------------------------------------------------
 
 SharedResultStore::SharedResultStore(CsrGraph g)
-    : graph_(std::move(g)), weighted_(false) {}
+    : graph_(shared_view(std::move(g))), weighted_(false) {}
 
 SharedResultStore::SharedResultStore(WeightedCsrGraph g)
-    : wgraph_(std::move(g)), weighted_(true) {}
+    : wgraph_(shared_view(std::move(g))), weighted_(true) {}
 
 SharedResultStore::SharedResultStore(std::shared_ptr<storage::PagedGraph> g)
     : pgraph_(std::move(g)), weighted_(false) {
   MPX_EXPECTS(pgraph_ != nullptr);
+}
+
+std::unique_ptr<SharedResultStore> SharedResultStore::open_snapshot(
+    const std::string& path, const SessionConfig& config) {
+  const io::SnapshotInfo info = io::read_snapshot_info(path);
+  // Paged mode: a cold unweighted snapshot that would not fit the budget
+  // materialized. Weighted cold files materialize regardless (the
+  // weighted algorithms run on in-memory graphs only — SessionConfig).
+  if (config.memory_budget_bytes > 0 && info.cold() && !info.weighted() &&
+      info.resident_bytes_estimate() > config.memory_budget_bytes) {
+    auto reader = std::make_shared<const io::SnapshotBlockReader>(path);
+    return std::make_unique<SharedResultStore>(
+        std::make_shared<storage::PagedGraph>(std::move(reader),
+                                              config.memory_budget_bytes));
+  }
+  if (info.weighted()) {
+    return std::make_unique<SharedResultStore>(io::map_weighted_snapshot(path));
+  }
+  return std::make_unique<SharedResultStore>(io::map_snapshot(path));
 }
 
 SharedResultStore::~SharedResultStore() = default;
@@ -462,7 +146,7 @@ const CsrGraph& SharedResultStore::topology() const {
     throw std::logic_error(
         "mpx: topology() is unavailable on a paged store — the graph is "
         "never fully resident; use num_vertices()/num_edges() and the "
-        "materialized query surface");
+        "query surface");
   }
   return weighted_ ? wgraph_.topology() : graph_;
 }
@@ -480,11 +164,6 @@ storage::ShardedBlockCache::Stats SharedResultStore::cache_stats() const {
                  : storage::ShardedBlockCache::Stats{};
 }
 
-const WeightedCsrGraph& SharedResultStore::weighted_graph() const {
-  MPX_EXPECTS(weighted_);
-  return wgraph_;
-}
-
 SharedResultStore::Key SharedResultStore::key_of(
     const DecompositionRequest& req) {
   return Key(req.algorithm, std::bit_cast<std::uint64_t>(req.beta), req.seed,
@@ -493,33 +172,14 @@ SharedResultStore::Key SharedResultStore::key_of(
              static_cast<int>(req.engine));
 }
 
-const ShiftBasis& SharedResultStore::basis_for_locked(
-    const DecompositionRequest& req) {
-  const auto key = std::make_pair(req.seed, static_cast<int>(req.distribution));
-  const auto it = bases_.find(key);
-  if (it != bases_.end()) return it->second;
-  return bases_.emplace(key, make_shift_basis(num_vertices(),
-                                              req.partition_options()))
-      .first->second;
-}
-
-std::shared_ptr<const MaterializedDecomposition>
-SharedResultStore::compute_locked(const DecompositionRequest& req) {
-  // Shift-based algorithms always run off the shared basis, so single
-  // and batch acquisitions of the same request are bitwise-identical
-  // (the basis-derived shifts equal the per-run draws by construction;
-  // run_batch's guarantee).
-  const AlgorithmInfo* info = find_algorithm(req.algorithm);
-  const ShiftBasis* basis =
-      info != nullptr && info->uses_shifts ? &basis_for_locked(req) : nullptr;
+std::shared_ptr<const MaterializedDecomposition> SharedResultStore::make_entry(
+    DecompositionResult result) const {
+  // Copying graph_ (or wgraph_'s topology) copies a view: the entry
+  // shares the arrays, and keeps them alive past the store.
   if (paged()) {
-    DecompositionResult result = decompose(*pgraph_, req, &workspace_, basis);
     return std::make_shared<const MaterializedDecomposition>(
         *pgraph_, std::move(result));
   }
-  DecompositionResult result = weighted_
-                                   ? decompose(wgraph_, req, &workspace_, basis)
-                                   : decompose(graph_, req, &workspace_, basis);
   return std::make_shared<const MaterializedDecomposition>(topology(),
                                                            std::move(result));
 }
@@ -527,6 +187,11 @@ SharedResultStore::compute_locked(const DecompositionRequest& req) {
 SharedResultStore::Acquired SharedResultStore::acquire(
     const DecompositionRequest& req) {
   validate_request(req);
+  return acquire_validated(req, nullptr);
+}
+
+SharedResultStore::Acquired SharedResultStore::acquire_validated(
+    const DecompositionRequest& req, const ShiftBasis* basis) {
   const Key key = key_of(req);
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -543,7 +208,10 @@ SharedResultStore::Acquired SharedResultStore::acquire(
   std::shared_ptr<const MaterializedDecomposition> built;
   try {
     std::lock_guard<std::mutex> compute(compute_mutex_);
-    built = compute_locked(req);
+    built = make_entry(
+        paged()     ? decompose(*pgraph_, req, &workspace_, basis)
+        : weighted_ ? decompose(wgraph_, req, &workspace_, basis)
+                    : decompose(graph_, req, &workspace_, basis));
     if (metrics_ != nullptr) {
       record_run_telemetry(*metrics_, built->result().telemetry);
     }
@@ -566,17 +234,28 @@ SharedResultStore::Acquired SharedResultStore::acquire(
 std::vector<SharedResultStore::Acquired> SharedResultStore::acquire_batch(
     const DecompositionRequest& base, std::span<const double> betas) {
   // Validate every beta up front so a bad one cannot abandon the batch
-  // half-executed (run_batch's contract).
+  // half-executed.
   DecompositionRequest req = base;
+  bool any_cold = false;
   for (const double beta : betas) {
     req.beta = beta;
     validate_request(req);
+    any_cold = any_cold || cached(req) == nullptr;
+  }
+  // One basis for the length of the batch, only when something computes.
+  // Basis-derived shifts equal the per-run draws by construction, so a
+  // beta computed with or without it yields the same bytes.
+  const AlgorithmInfo* info = find_algorithm(base.algorithm);
+  std::optional<ShiftBasis> basis;
+  if (any_cold && info != nullptr && info->uses_shifts) {
+    basis = make_shift_basis(num_vertices(), base.partition_options());
   }
   std::vector<Acquired> acquired;
   acquired.reserve(betas.size());
   for (const double beta : betas) {
     req.beta = beta;
-    acquired.push_back(acquire(req));
+    acquired.push_back(
+        acquire_validated(req, basis.has_value() ? &*basis : nullptr));
   }
   return acquired;
 }
@@ -591,25 +270,49 @@ std::shared_ptr<const MaterializedDecomposition> SharedResultStore::cached(
 bool SharedResultStore::load_cached(const DecompositionRequest& req,
                                     const std::string& path) {
   validate_request(req);
-  reject_weighted_load(req);
-  const Key key = key_of(req);
+  // Mirror of save_cached: the text format carries no radii, so a
+  // weighted request can never be restored shape-consistently from it.
+  const AlgorithmInfo* info = find_algorithm(req.algorithm);
+  if (info != nullptr && info->needs_weights) {
+    throw std::invalid_argument(
+        "mpx: load_cached supports unweighted algorithms; '" + req.algorithm +
+        "' produces real-valued radii");
+  }
+  // An already-resident entry wins: results are deterministic in the
+  // request, so the computed entry equals anything a valid file holds.
+  if (cached(req) != nullptr) return true;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.find(key) != entries_.end()) return true;
+    std::ifstream probe(path);
+    if (!probe) return false;
+  }
+  io::LoadedDecomposition loaded = io::load_decomposition_full(path);
+  if (loaded.has_telemetry && loaded.telemetry.algorithm != req.algorithm) {
+    throw std::runtime_error(
+        "mpx: cached decomposition in " + path + " was produced by '" +
+        loaded.telemetry.algorithm + "', not the requested '" +
+        req.algorithm + "'");
+  }
+  if (loaded.decomposition.num_vertices() != num_vertices()) {
+    throw std::runtime_error(
+        "mpx: cached decomposition in " + path + " has " +
+        std::to_string(loaded.decomposition.num_vertices()) +
+        " vertices; this session's graph has " +
+        std::to_string(num_vertices()));
   }
   DecompositionResult result;
-  if (!load_saved_result(req, path, num_vertices(), result)) {
-    return false;
+  result.decomposition = std::move(loaded.decomposition);
+  detail::owner_settle_from_decomposition(result.decomposition, result);
+  if (loaded.has_telemetry) {
+    result.telemetry = std::move(loaded.telemetry);
+  } else {
+    result.telemetry.algorithm = req.algorithm;
   }
-  auto built =
-      paged() ? std::make_shared<const MaterializedDecomposition>(
-                    *pgraph_, std::move(result))
-              : std::make_shared<const MaterializedDecomposition>(
-                    topology(), std::move(result));
+  std::shared_ptr<const MaterializedDecomposition> built =
+      make_entry(std::move(result));
   std::lock_guard<std::mutex> lock(mutex_);
   // A concurrent load or compute may have published first; the resident
-  // entry wins (results are deterministic in the request).
-  entries_.emplace(key, std::move(built));
+  // entry wins.
+  entries_.emplace(key_of(req), std::move(built));
   return true;
 }
 
@@ -624,12 +327,96 @@ std::uint64_t SharedResultStore::computes() const {
 }
 
 void SharedResultStore::clear() {
-  // Both locks: compute_mutex_ owns bases_, mutex_ owns entries_.
-  // scoped_lock's deadlock avoidance keeps the pair safe against the
-  // acquire path (which never holds both at once).
-  std::scoped_lock both(compute_mutex_, mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
-  bases_.clear();
+}
+
+// --- DecompositionSession -------------------------------------------------
+
+DecompositionSession::DecompositionSession(CsrGraph g)
+    : store_(std::make_unique<SharedResultStore>(std::move(g))) {}
+
+DecompositionSession::DecompositionSession(WeightedCsrGraph g)
+    : store_(std::make_unique<SharedResultStore>(std::move(g))) {}
+
+DecompositionSession::DecompositionSession(
+    std::shared_ptr<storage::PagedGraph> g)
+    : store_(std::make_unique<SharedResultStore>(std::move(g))) {}
+
+DecompositionSession::DecompositionSession(
+    std::unique_ptr<SharedResultStore> store)
+    : store_(std::move(store)) {}
+
+DecompositionSession DecompositionSession::open_snapshot(
+    const std::string& path) {
+  return open_snapshot(path, SessionConfig{});
+}
+
+DecompositionSession DecompositionSession::open_snapshot(
+    const std::string& path, const SessionConfig& config) {
+  return DecompositionSession(SharedResultStore::open_snapshot(path, config));
+}
+
+const MaterializedDecomposition& DecompositionSession::entry(
+    const DecompositionRequest& req) {
+  return *store_->acquire(req).entry;
+}
+
+const DecompositionResult& DecompositionSession::run(
+    const DecompositionRequest& req) {
+  return entry(req).result();
+}
+
+std::vector<const DecompositionResult*> DecompositionSession::run_batch(
+    const DecompositionRequest& base, std::span<const double> betas) {
+  std::vector<const DecompositionResult*> results;
+  results.reserve(betas.size());
+  for (const SharedResultStore::Acquired& a :
+       store_->acquire_batch(base, betas)) {
+    results.push_back(&a.entry->result());
+  }
+  return results;
+}
+
+const DecompositionResult* DecompositionSession::cached(
+    const DecompositionRequest& req) const {
+  const auto entry = store_->cached(req);
+  return entry != nullptr ? &entry->result() : nullptr;
+}
+
+vertex_t DecompositionSession::owner_of(vertex_t v,
+                                        const DecompositionRequest& req) {
+  return entry(req).owner_of(v);
+}
+
+cluster_t DecompositionSession::cluster_of(vertex_t v,
+                                           const DecompositionRequest& req) {
+  return entry(req).cluster_of(v);
+}
+
+cluster_t DecompositionSession::num_clusters(const DecompositionRequest& req) {
+  return entry(req).num_clusters();
+}
+
+std::span<const Edge> DecompositionSession::boundary_arcs(
+    const DecompositionRequest& req) {
+  return entry(req).boundary_arcs();
+}
+
+std::uint32_t DecompositionSession::estimate_distance(
+    vertex_t u, vertex_t v, const DecompositionRequest& req) {
+  return entry(req).estimate_distance(u, v);
+}
+
+void DecompositionSession::save_cached(const DecompositionRequest& req,
+                                       const std::string& path) {
+  const DecompositionResult& result = run(req);
+  if (result.weighted()) {
+    throw std::invalid_argument(
+        "mpx: save_cached supports unweighted algorithms; '" + req.algorithm +
+        "' produces real-valued radii");
+  }
+  io::save_decomposition(path, result.decomposition, result.telemetry);
 }
 
 }  // namespace mpx

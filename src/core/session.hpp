@@ -1,55 +1,46 @@
 /// \file
-/// \brief DecompositionSession: one graph, many cached decompositions,
-/// query answering — the in-process core of the future serving layer.
+/// \brief The decomposition cache: one graph, many cached decompositions,
+/// query answering.
 ///
-/// A session owns a graph (constructible straight from a `.mpxs` snapshot
-/// via `open_snapshot`, so startup is O(header) + page faults), a
-/// `DecompositionWorkspace` shared by every run it executes, and a cache of
-/// `DecompositionResult`s keyed by the full `DecompositionRequest`. On top
-/// of the cache it answers the queries a decomposition service serves:
-/// which cluster a vertex is in, which edges cross cluster boundaries, and
-/// approximate point-to-point distances (a per-result `DistanceOracle`
-/// built lazily on first use).
+/// `SharedResultStore` is the cache. It owns a graph (in memory, mapped
+/// zero-copy from a `.mpxs` snapshot, or paged out-of-core — the
+/// `open_snapshot` factory picks), one `DecompositionWorkspace`, and a
+/// thread-safe map from the full `DecompositionRequest` to a
+/// `MaterializedDecomposition`. Each distinct request is computed once no
+/// matter how many threads ask (single-flight), and every asker gets the
+/// same entry. The decomposition server (src/server/) serves all of its
+/// workers from one store.
 ///
-/// Batch multi-beta runs (`run_batch`) generate the random draws once per
-/// seed (`ShiftBasis`) and derive every beta's shifts from them —
-/// bitwise-identical to running each request individually, at a fraction
-/// of the shift-generation cost. Each beta reuses the basis's cached
-/// maximum (ShiftBasis::base_max) on top of the shared draws, so the
-/// per-beta work is one scaling pass plus the bucketed rank; what a basis
-/// cannot share is the rank order itself — frac(delta_max - delta) moves
-/// its floor boundaries with beta, so every beta's tie-break order is
-/// genuinely different (see ARCHITECTURE.md, shift phase).
+/// A `MaterializedDecomposition` answers the queries a decomposition
+/// service serves: which cluster a vertex is in, which edges cross
+/// cluster boundaries (the beta-fraction cut of Definition 1.1), and
+/// approximate point-to-point distances (apps/distance_oracle.hpp). The
+/// result arrays are there when the entry is published; the boundary list
+/// and the distance oracle are built by the first query that needs them,
+/// once. Every query may be called from any number of threads.
 ///
-/// Sessions are not thread-safe in general: the workspace and cache mutate
-/// on every run, and the default query path materializes boundary lists
-/// and distance oracles lazily. One session per worker thread; the
-/// underlying snapshot mapping is shared safely by the graph's keepalive.
+/// Batch multi-beta runs (`acquire_batch`, `run_batch`) generate the
+/// random draws once per batch (`ShiftBasis`) and derive every beta's
+/// shifts from them — bitwise-identical to acquiring each request
+/// individually, at a fraction of the shift-generation cost. Each beta
+/// reuses the basis's cached maximum (ShiftBasis::base_max) on top of the
+/// shared draws, so the per-beta work is one scaling pass plus the
+/// bucketed rank; what a basis cannot share is the rank order itself —
+/// frac(delta_max - delta) moves its floor boundaries with beta, so every
+/// beta's tie-break order is genuinely different (see ARCHITECTURE.md,
+/// shift phase).
 ///
-/// There is one documented exception: after `materialize(req)` returns,
-/// the **const** query overloads (`owner_of` / `cluster_of` /
-/// `num_clusters` / `boundary_arcs` / `estimate_distance`) for that
-/// request only read immutable state and may be called concurrently from
-/// any number of threads, as long as no thread concurrently runs a
-/// mutating member (`run`, `run_batch`, the non-const queries,
-/// `load_cached`, `clear_cache`). `tests/test_session.cpp` hammers this
-/// guarantee.
-///
-/// `SharedResultStore` turns that guarantee into a fleet-wide cache: it
-/// holds each result as an immutable `MaterializedDecomposition` (the
-/// exact artifact set materialize() builds — result, boundary list,
-/// distance oracle) behind a `shared_ptr`, computes each distinct request
-/// exactly once no matter how many threads ask (single-flight), and hands
-/// every asker the same entry. The decomposition server (src/server/)
-/// serves all of its workers from one store.
+/// `DecompositionSession` is the single-owner facade over one store that
+/// the CLI, the examples and the benches use: it hands out plain
+/// references to cached results and runs each query's request first.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -69,9 +60,9 @@ class DistanceOracle;
 /// Record one run's phase timings and work counters into `registry`
 /// under the `decomp.*` names (docs/OBSERVABILITY.md): phase-seconds
 /// histograms (shift draw/rank, search, assemble, total, in nanoseconds)
-/// plus the computes/rounds/arcs-scanned counters. Shared by
-/// DecompositionSession and SharedResultStore; the server points both at
-/// its registry so cold computes feed the served phase histograms.
+/// plus the computes/rounds/arcs-scanned counters. SharedResultStore calls
+/// it after every cold compute; the server points its store at its
+/// registry so cold computes feed the served phase histograms.
 void record_run_telemetry(obs::MetricsRegistry& registry,
                           const RunTelemetry& telemetry);
 
@@ -93,181 +84,10 @@ struct SessionConfig {
   std::uint64_t memory_budget_bytes = 0;
 };
 
-class DecompositionSession {
- public:
-  /// Serve decompositions of an unweighted graph.
-  explicit DecompositionSession(CsrGraph g);
-  /// Serve decompositions of a weighted graph (weighted algorithms become
-  /// available; unweighted ones run on the topology).
-  explicit DecompositionSession(WeightedCsrGraph g);
-  /// Serve decompositions of an out-of-core paged graph. Only "mpx" runs
-  /// (decompose() throws for other algorithms) and topology() is
-  /// unavailable; the query surface (cluster/boundary/distance) works.
-  explicit DecompositionSession(std::shared_ptr<storage::PagedGraph> g);
-  /// Open a `.mpxs` snapshot zero-copy (io::map_snapshot); the weighted
-  /// flag in the header selects the graph type. Throws std::runtime_error
-  /// on unreadable or corrupt snapshots.
-  [[nodiscard]] static DecompositionSession open_snapshot(
-      const std::string& path);
-  /// Open a snapshot under a memory budget: serves cold unweighted
-  /// snapshots larger than `config.memory_budget_bytes` paged (see
-  /// SessionConfig), everything else like open_snapshot(path).
-  [[nodiscard]] static DecompositionSession open_snapshot(
-      const std::string& path, const SessionConfig& config);
-
-  DecompositionSession(DecompositionSession&&) noexcept;
-  DecompositionSession& operator=(DecompositionSession&&) noexcept;
-  DecompositionSession(const DecompositionSession&) = delete;
-  DecompositionSession& operator=(const DecompositionSession&) = delete;
-  ~DecompositionSession();
-
-  /// The graph's in-memory unweighted topology. Throws std::logic_error
-  /// for paged sessions (there is no materialized CsrGraph to hand out —
-  /// use num_vertices()/num_arcs() and the query surface instead).
-  [[nodiscard]] const CsrGraph& topology() const;
-  /// True when the session holds edge weights.
-  [[nodiscard]] bool weighted() const { return weighted_; }
-  /// The weighted graph; requires weighted().
-  [[nodiscard]] const WeightedCsrGraph& weighted_graph() const;
-  /// True when the session serves its graph out-of-core (see
-  /// SessionConfig::memory_budget_bytes).
-  [[nodiscard]] bool paged() const { return pgraph_ != nullptr; }
-  /// The paged graph; requires paged().
-  [[nodiscard]] const storage::PagedGraph& paged_graph() const;
-  /// Number of vertices, on every backend (in-memory or paged).
-  [[nodiscard]] vertex_t num_vertices() const;
-  /// Number of undirected edges, on every backend.
-  [[nodiscard]] edge_t num_edges() const;
-  /// Lifetime block-cache counters; all-zero for non-paged sessions.
-  [[nodiscard]] storage::ShardedBlockCache::Stats cache_stats() const;
-
-  /// Feed every subsequent cold run's telemetry into `registry` (see
-  /// record_run_telemetry). nullptr (the default) disables recording.
-  /// The registry must outlive the session.
-  void set_metrics(obs::MetricsRegistry* registry) { metrics_ = registry; }
-
-  /// Run (or fetch from cache) the decomposition for `req`. The returned
-  /// reference stays valid until clear_cache() or session destruction.
-  const DecompositionResult& run(const DecompositionRequest& req);
-
-  /// Run `base` at each beta of `betas`, generating the seed's random
-  /// draws once (ShiftBasis) for shift-based algorithms. Results are
-  /// bitwise-identical to individual run() calls; cached entries are
-  /// reused. The returned pointers follow run()'s lifetime rule.
-  std::vector<const DecompositionResult*> run_batch(
-      const DecompositionRequest& base, std::span<const double> betas);
-
-  /// The cached result for `req`, or nullptr when never run.
-  [[nodiscard]] const DecompositionResult* cached(
-      const DecompositionRequest& req) const;
-  [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-  /// Drop every cached result (and their lazily-built oracles and
-  /// boundary lists), plus the shared shift bases — everything derived;
-  /// subsequent runs regenerate bitwise-identical state.
-  void clear_cache();
-
-  // --- queries (each runs the request first when not cached) ---
-
-  /// Center vertex that claimed v.
-  vertex_t owner_of(vertex_t v, const DecompositionRequest& req);
-  /// Compact cluster id of v, in [0, num_clusters(req)).
-  cluster_t cluster_of(vertex_t v, const DecompositionRequest& req);
-  cluster_t num_clusters(const DecompositionRequest& req);
-  /// The undirected edges {u, v} (u < v) whose endpoints lie in different
-  /// clusters — the beta-fraction boundary of Definition 1.1. Computed
-  /// once per cached result, in (u, v) order.
-  std::span<const Edge> boundary_arcs(const DecompositionRequest& req);
-  /// Upper-bound estimate of dist(u, v) through the decomposition's
-  /// center graph (apps/distance_oracle.hpp); kInfDist across components.
-  /// Requires an unweighted algorithm; throws std::invalid_argument for
-  /// weighted ones.
-  std::uint32_t estimate_distance(vertex_t u, vertex_t v,
-                                  const DecompositionRequest& req);
-
-  // --- the concurrent read-only query path ---
-
-  /// Run `req` (or fetch it from cache) and eagerly build every query
-  /// artifact the lazy path would otherwise materialize on first use: the
-  /// boundary edge list and, for unweighted results, the distance oracle.
-  /// After this returns, the const query overloads below answer `req`
-  /// from immutable state and are safe to call concurrently (see the
-  /// class comment for the exact guarantee).
-  const DecompositionResult& materialize(const DecompositionRequest& req);
-  /// True when `req` has been materialize()d (every const query below
-  /// will answer without throwing).
-  [[nodiscard]] bool materialized(const DecompositionRequest& req) const;
-
-  // Const query overloads: answer strictly from materialized state, never
-  // mutate, throw std::logic_error when `req` was not materialize()d.
-  // estimate_distance keeps the mutable overload's std::invalid_argument
-  // for weighted algorithms.
-  [[nodiscard]] vertex_t owner_of(vertex_t v,
-                                  const DecompositionRequest& req) const;
-  [[nodiscard]] cluster_t cluster_of(vertex_t v,
-                                     const DecompositionRequest& req) const;
-  [[nodiscard]] cluster_t num_clusters(const DecompositionRequest& req) const;
-  [[nodiscard]] std::span<const Edge> boundary_arcs(
-      const DecompositionRequest& req) const;
-  [[nodiscard]] std::uint32_t estimate_distance(
-      vertex_t u, vertex_t v, const DecompositionRequest& req) const;
-
-  // --- persistence (unweighted algorithms) ---
-
-  /// Save the cached result for `req` (running it first if needed) as a
-  /// decomposition file with its telemetry block, so a later session can
-  /// load_cached() it instead of recomputing.
-  void save_cached(const DecompositionRequest& req, const std::string& path);
-  /// Restore a previously saved result into the cache under `req`.
-  /// Returns false when the file does not exist; returns true without
-  /// reading when `req` is already cached (results are deterministic in
-  /// the request, and outstanding references into the resident entry stay
-  /// valid). Throws std::runtime_error on malformed content, a
-  /// vertex-count mismatch with this graph, or a telemetry block naming a
-  /// different algorithm than `req`; throws std::invalid_argument for
-  /// weighted algorithms (the text format carries no radii — mirror of
-  /// save_cached).
-  bool load_cached(const DecompositionRequest& req, const std::string& path);
-
- private:
-  struct CacheEntry {
-    DecompositionResult result;
-    std::optional<std::vector<Edge>> boundary;
-    std::unique_ptr<DistanceOracle> oracle;
-  };
-  /// Exact request identity: algorithm, beta bit pattern, seed, and the
-  /// three enums. Distinct engines are distinct entries (results are
-  /// engine-invariant, but telemetry is not).
-  using Key = std::tuple<std::string, std::uint64_t, std::uint64_t, int, int,
-                         int>;
-  static Key key_of(const DecompositionRequest& req);
-
-  CacheEntry& entry_for(const DecompositionRequest& req,
-                        const ShiftBasis* basis = nullptr);
-  const ShiftBasis& basis_for(const DecompositionRequest& req);
-  /// True when `entry` carries every artifact the const query path reads.
-  static bool entry_is_materialized(const CacheEntry& entry);
-  /// The fully-materialized entry for `req`; throws std::logic_error when
-  /// materialize(req) has not run (the const query path's shared guard).
-  const CacheEntry& materialized_entry(const DecompositionRequest& req) const;
-  /// Compute the cut-edge list of `result` (shared by the lazy and eager
-  /// boundary builders).
-  std::vector<Edge> compute_boundary(const DecompositionResult& result) const;
-
-  CsrGraph graph_;            // unweighted sessions
-  WeightedCsrGraph wgraph_;   // weighted sessions
-  std::shared_ptr<storage::PagedGraph> pgraph_;  // paged sessions
-  bool weighted_ = false;
-  DecompositionWorkspace workspace_;
-  std::map<Key, CacheEntry> cache_;
-  /// Shift bases shared by batch runs, keyed by (seed, distribution).
-  std::map<std::pair<std::uint64_t, int>, ShiftBasis> bases_;
-  obs::MetricsRegistry* metrics_ = nullptr;  // not owned; may be null
-};
-
 /// Compute the cut-edge list of `result` over `topology`: the undirected
 /// edges {u, v} (u < v) whose endpoints lie in different clusters, in
-/// (u, v) order — the beta-fraction boundary of Definition 1.1. Shared by
-/// DecompositionSession's lazy/eager builders and MaterializedDecomposition.
+/// (u, v) order — the beta-fraction boundary of Definition 1.1.
+/// MaterializedDecomposition builds its boundary list with it.
 /// `Graph` is any backend exposing the CsrGraph read contract; the scan
 /// streams each adjacency list once in ascending vertex order, which is
 /// the block-cache-friendly order on storage::PagedGraph.
@@ -284,27 +104,32 @@ template <typename Graph>
   return boundary;
 }
 
-/// One fully materialized decomposition: the result plus every artifact
-/// the session's const query path reads — the boundary edge list and, for
-/// unweighted results, the distance oracle — all built eagerly in the
-/// constructor. Instances are immutable afterwards, so any number of
-/// threads may query one concurrently without synchronization (the same
-/// property DecompositionSession::materialize establishes for its cache
-/// entries, reified as a standalone shareable object).
+/// One cached decomposition: the result plus the query artifacts derived
+/// from it — the boundary edge list and, for unweighted results, the
+/// distance oracle. Each artifact is built the first time a query asks
+/// for it (std::call_once: concurrent first callers wait on one build; a
+/// build that throws leaves the artifact unbuilt, so the next caller
+/// retries). Every member may be called concurrently from any number of
+/// threads.
+///
+/// The entry keeps the graph its builds read alive, so it may outlive the
+/// store that published it (the server parks entries beside in-flight
+/// responses across store clears).
 class MaterializedDecomposition {
  public:
-  /// Build every query artifact for `result` over `topology`. `topology`
-  /// is only read during construction.
+  /// Wrap `result` over `topology`. The entry keeps a copy of `topology`
+  /// for its builds: a copy of a view graph (mapped snapshot, or the
+  /// store's graph) shares the arrays; an owning graph is deep-copied.
   MaterializedDecomposition(const CsrGraph& topology,
                             DecompositionResult result);
 
-  /// Same, over a paged graph: the boundary scan and the oracle's center
-  /// graph stream the adjacency block-at-a-time, so materialization works
-  /// within the cache budget too.
+  /// Same, over a paged graph, which must be owned by a std::shared_ptr
+  /// (the entry shares that ownership). The boundary scan and the
+  /// oracle's center graph stream the adjacency block-at-a-time, so the
+  /// builds work within the cache budget too.
   MaterializedDecomposition(const storage::PagedGraph& topology,
                             DecompositionResult result);
 
-  MaterializedDecomposition(MaterializedDecomposition&&) noexcept = default;
   MaterializedDecomposition(const MaterializedDecomposition&) = delete;
   MaterializedDecomposition& operator=(const MaterializedDecomposition&) =
       delete;
@@ -316,51 +141,62 @@ class MaterializedDecomposition {
   /// Compact cluster id of v, in [0, num_clusters()).
   [[nodiscard]] cluster_t cluster_of(vertex_t v) const;
   [[nodiscard]] cluster_t num_clusters() const;
-  /// The cut-edge list, (u, v)-ordered with u < v.
-  [[nodiscard]] std::span<const Edge> boundary_arcs() const {
-    return boundary_;
-  }
+  /// The cut-edge list, (u, v)-ordered with u < v; built on the first
+  /// call, the same span afterwards.
+  [[nodiscard]] std::span<const Edge> boundary_arcs() const;
   /// Distance-oracle estimate of dist(u, v); kInfDist across components.
-  /// Throws std::invalid_argument for weighted results (mirror of
-  /// DecompositionSession::estimate_distance).
+  /// The oracle is built on the first call. Throws std::invalid_argument
+  /// for weighted results.
   [[nodiscard]] std::uint32_t estimate_distance(vertex_t u, vertex_t v) const;
+  /// True once the distance oracle is built, so estimate_distance() only
+  /// reads.
+  [[nodiscard]] bool distance_oracle_built() const {
+    return oracle_built_.load(std::memory_order_acquire);
+  }
 
  private:
   DecompositionResult result_;
-  std::vector<Edge> boundary_;
-  std::unique_ptr<DistanceOracle> oracle_;  // unweighted results only
+  CsrGraph graph_;                                    // in-memory entries
+  std::shared_ptr<const storage::PagedGraph> paged_;  // paged entries
+  mutable std::once_flag boundary_once_;
+  mutable std::vector<Edge> boundary_;
+  mutable std::once_flag oracle_once_;
+  mutable std::atomic<bool> oracle_built_{false};
+  mutable std::unique_ptr<DistanceOracle> oracle_;  // unweighted results only
 };
 
-/// A thread-safe, fleet-wide cache of materialized decompositions: the
-/// server's shared result store (every worker serves from one instance,
-/// so a result computed once is warm for the whole fleet and `from_cache`
-/// is a fleet-wide property, not a per-worker accident).
+/// The thread-safe decomposition cache (see the file comment).
 ///
 /// Concurrency contract:
 ///  - `acquire` is **single-flight** per request key: when N threads ask
 ///    for the same cold key, one computes and the rest block until the
 ///    entry publishes; `computes()` counts the actual decompositions run.
 ///  - Distinct cold keys serialize on one internal compute lock (the
-///    store owns one `DecompositionWorkspace`, mirroring the per-session
-///    workspace-reuse design), but cache hits never touch it.
-///  - Entries are handed out as `shared_ptr<const MaterializedDecomposition>`
-///    — immutable and lock-free to query. `clear()` drops the store's
-///    references; outstanding pointers (and response bytes in flight that
-///    view their arrays) stay valid until released.
-///
-/// Shift-based algorithms always draw from a shared per-(seed,
-/// distribution) `ShiftBasis`, so batch and individual acquisitions of
-/// the same request are bitwise-identical (run_batch's guarantee, made
-/// unconditional).
+///    store owns one `DecompositionWorkspace`), but cache hits never touch
+///    it.
+///  - Entries are handed out as `shared_ptr<const MaterializedDecomposition>`.
+///    `clear()` drops the store's references; outstanding pointers (and
+///    response bytes in flight that view their arrays) stay valid until
+///    released.
 class SharedResultStore {
  public:
-  /// Serve decompositions of an unweighted graph.
+  /// Serve decompositions of an unweighted graph. An owning graph is
+  /// moved behind a shared view once, so entries never copy it.
   explicit SharedResultStore(CsrGraph g);
-  /// Serve decompositions of a weighted graph.
+  /// Serve decompositions of a weighted graph (weighted algorithms become
+  /// available; unweighted ones run on the topology).
   explicit SharedResultStore(WeightedCsrGraph g);
-  /// Serve decompositions of an out-of-core paged graph (only "mpx"
-  /// computes; see the paged decompose() overload).
+  /// Serve decompositions of an out-of-core paged graph. Only "mpx"
+  /// computes (decompose() throws for other algorithms) and topology() is
+  /// unavailable; the query surface (cluster/boundary/distance) works.
   explicit SharedResultStore(std::shared_ptr<storage::PagedGraph> g);
+  /// Open a `.mpxs` snapshot: hot files map zero-copy (io::map_snapshot),
+  /// the weighted flag in the header selects the graph type, and a cold
+  /// unweighted snapshot larger than `config.memory_budget_bytes` is
+  /// served paged (see SessionConfig). Throws std::runtime_error on
+  /// unreadable or corrupt snapshots.
+  [[nodiscard]] static std::unique_ptr<SharedResultStore> open_snapshot(
+      const std::string& path, const SessionConfig& config = {});
   ~SharedResultStore();
 
   SharedResultStore(const SharedResultStore&) = delete;
@@ -371,8 +207,6 @@ class SharedResultStore {
   [[nodiscard]] const CsrGraph& topology() const;
   /// True when the store holds edge weights.
   [[nodiscard]] bool weighted() const { return weighted_; }
-  /// The weighted graph; requires weighted().
-  [[nodiscard]] const WeightedCsrGraph& weighted_graph() const;
   /// True when the store serves its graph out-of-core.
   [[nodiscard]] bool paged() const { return pgraph_ != nullptr; }
   /// Number of vertices, on every backend (in-memory or paged).
@@ -395,15 +229,15 @@ class SharedResultStore {
     bool from_cache = false;
   };
 
-  /// Fetch `req`'s entry, computing and materializing it first when cold
-  /// (single-flight; see the class comment). Throws what
-  /// `validate_request` / `decompose` throw; a failed compute leaves the
-  /// store unchanged.
+  /// Fetch `req`'s entry, computing it first when cold (single-flight;
+  /// see the class comment). Throws what `validate_request` / `decompose`
+  /// throw; a failed compute leaves the store unchanged.
   [[nodiscard]] Acquired acquire(const DecompositionRequest& req);
 
-  /// Acquire `base` at each beta of `betas` (run_batch semantics: every
-  /// beta validated up front, the seed's shift draws generated once).
-  /// Results are bitwise-identical to individual acquire() calls.
+  /// Acquire `base` at each beta of `betas`: every beta is validated up
+  /// front, and when any of them is cold the batch generates the seed's
+  /// shift draws once. Results are bitwise-identical to individual
+  /// acquire() calls.
   [[nodiscard]] std::vector<Acquired> acquire_batch(
       const DecompositionRequest& base, std::span<const double> betas);
 
@@ -412,10 +246,15 @@ class SharedResultStore {
   [[nodiscard]] std::shared_ptr<const MaterializedDecomposition> cached(
       const DecompositionRequest& req) const;
 
-  /// Restore a save_cached() file into the store under `req` (the
-  /// warm-start path; DecompositionSession::load_cached semantics and
-  /// error contract, plus eager materialization). Returns false when the
-  /// file does not exist.
+  /// Restore a DecompositionSession::save_cached() file into the store
+  /// under `req` (the warm-start path). Returns false when the file does
+  /// not exist; returns true without reading when `req` is already
+  /// resident (results are deterministic in the request, and outstanding
+  /// references into the resident entry stay valid). Throws
+  /// std::runtime_error on malformed content, a vertex-count mismatch with
+  /// this graph, or a telemetry block naming a different algorithm than
+  /// `req`; throws std::invalid_argument for weighted algorithms (the text
+  /// format carries no radii).
   bool load_cached(const DecompositionRequest& req, const std::string& path);
 
   /// Resident entry count (in-flight computes excluded).
@@ -423,32 +262,34 @@ class SharedResultStore {
   /// Lifetime count of decompositions actually computed — acquire()
   /// traffic minus every flavor of cache hit.
   [[nodiscard]] std::uint64_t computes() const;
-  /// Drop every resident entry and the shared shift bases. Outstanding
-  /// shared_ptrs stay valid; a compute in flight during the clear still
-  /// publishes afterwards.
+  /// Drop every resident entry. Outstanding shared_ptrs stay valid; a
+  /// compute in flight during the clear still publishes afterwards.
   void clear();
 
  private:
+  /// Exact request identity: algorithm, beta bit pattern, seed, and the
+  /// three enums. Distinct engines are distinct entries (results are
+  /// engine-invariant, but telemetry is not).
   using Key = std::tuple<std::string, std::uint64_t, std::uint64_t, int, int,
                          int>;
   static Key key_of(const DecompositionRequest& req);
-  /// The shared basis for req's (seed, distribution); call with
-  /// compute_mutex_ held.
-  const ShiftBasis& basis_for_locked(const DecompositionRequest& req);
-  /// Run + materialize `req`; call with compute_mutex_ held.
-  [[nodiscard]] std::shared_ptr<const MaterializedDecomposition>
-  compute_locked(const DecompositionRequest& req);
+  /// acquire() for an already-validated request, drawing shifts from
+  /// `basis` when non-null.
+  [[nodiscard]] Acquired acquire_validated(const DecompositionRequest& req,
+                                           const ShiftBasis* basis);
+  /// The entry for `result` over this store's graph.
+  [[nodiscard]] std::shared_ptr<const MaterializedDecomposition> make_entry(
+      DecompositionResult result) const;
 
-  CsrGraph graph_;            // unweighted stores
-  WeightedCsrGraph wgraph_;   // weighted stores
+  CsrGraph graph_;            // unweighted stores (a shared view)
+  WeightedCsrGraph wgraph_;   // weighted stores (a shared view)
   std::shared_ptr<storage::PagedGraph> pgraph_;  // paged stores
   bool weighted_ = false;
 
-  /// Serializes decompositions (workspace_ and bases_ are only touched
-  /// under this lock). Never held together with mutex_ except in clear().
+  /// Serializes decompositions (workspace_ is only touched under this
+  /// lock). Never held together with mutex_.
   std::mutex compute_mutex_;
   DecompositionWorkspace workspace_;
-  std::map<std::pair<std::uint64_t, int>, ShiftBasis> bases_;
 
   /// Guards entries_, inflight_, computes_.
   mutable std::mutex mutex_;
@@ -457,6 +298,114 @@ class SharedResultStore {
   std::set<Key> inflight_;
   std::uint64_t computes_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned; may be null
+};
+
+/// A single-owner facade over one SharedResultStore: the same cache and
+/// the same answers, with results handed out as plain references. Every
+/// member forwards to the store and is as thread-safe as it is, except
+/// that clear_cache() invalidates outstanding references.
+class DecompositionSession {
+ public:
+  /// Serve decompositions of an unweighted graph.
+  explicit DecompositionSession(CsrGraph g);
+  /// Serve decompositions of a weighted graph (weighted algorithms become
+  /// available; unweighted ones run on the topology).
+  explicit DecompositionSession(WeightedCsrGraph g);
+  /// Serve decompositions of an out-of-core paged graph (see the
+  /// SharedResultStore constructor).
+  explicit DecompositionSession(std::shared_ptr<storage::PagedGraph> g);
+  /// Open a `.mpxs` snapshot zero-copy (SharedResultStore::open_snapshot
+  /// with the default config). Throws std::runtime_error on unreadable or
+  /// corrupt snapshots.
+  [[nodiscard]] static DecompositionSession open_snapshot(
+      const std::string& path);
+  /// Open a snapshot under a memory budget: serves cold unweighted
+  /// snapshots larger than `config.memory_budget_bytes` paged (see
+  /// SessionConfig), everything else like open_snapshot(path).
+  [[nodiscard]] static DecompositionSession open_snapshot(
+      const std::string& path, const SessionConfig& config);
+
+  DecompositionSession(DecompositionSession&&) noexcept = default;
+  DecompositionSession& operator=(DecompositionSession&&) noexcept = default;
+  ~DecompositionSession() = default;
+
+  /// The graph's in-memory unweighted topology. Throws std::logic_error
+  /// for paged sessions (use num_vertices()/num_edges() and the query
+  /// surface instead).
+  [[nodiscard]] const CsrGraph& topology() const { return store_->topology(); }
+  /// True when the session holds edge weights.
+  [[nodiscard]] bool weighted() const { return store_->weighted(); }
+  /// True when the session serves its graph out-of-core (see
+  /// SessionConfig::memory_budget_bytes).
+  [[nodiscard]] bool paged() const { return store_->paged(); }
+  /// Number of vertices, on every backend (in-memory or paged).
+  [[nodiscard]] vertex_t num_vertices() const {
+    return store_->num_vertices();
+  }
+  /// Number of undirected edges, on every backend.
+  [[nodiscard]] edge_t num_edges() const { return store_->num_edges(); }
+  /// Lifetime block-cache counters; all-zero for non-paged sessions.
+  [[nodiscard]] storage::ShardedBlockCache::Stats cache_stats() const {
+    return store_->cache_stats();
+  }
+
+  /// Run (or fetch from cache) the decomposition for `req`. The returned
+  /// reference stays valid until clear_cache() or session destruction.
+  const DecompositionResult& run(const DecompositionRequest& req);
+
+  /// Run `base` at each beta of `betas`, generating the seed's random
+  /// draws once (SharedResultStore::acquire_batch). Results are
+  /// bitwise-identical to individual run() calls; cached entries are
+  /// reused. The returned pointers follow run()'s lifetime rule.
+  std::vector<const DecompositionResult*> run_batch(
+      const DecompositionRequest& base, std::span<const double> betas);
+
+  /// The cached result for `req`, or nullptr when never run.
+  [[nodiscard]] const DecompositionResult* cached(
+      const DecompositionRequest& req) const;
+  [[nodiscard]] std::size_t cache_size() const { return store_->size(); }
+  /// Drop every cached result (with its boundary list and oracle);
+  /// subsequent runs regenerate bitwise-identical state.
+  void clear_cache() { store_->clear(); }
+
+  // --- queries (each runs the request first when not cached) ---
+
+  /// Center vertex that claimed v.
+  vertex_t owner_of(vertex_t v, const DecompositionRequest& req);
+  /// Compact cluster id of v, in [0, num_clusters(req)).
+  cluster_t cluster_of(vertex_t v, const DecompositionRequest& req);
+  cluster_t num_clusters(const DecompositionRequest& req);
+  /// The undirected edges {u, v} (u < v) whose endpoints lie in different
+  /// clusters — the beta-fraction boundary of Definition 1.1. Computed
+  /// once per cached result, in (u, v) order.
+  std::span<const Edge> boundary_arcs(const DecompositionRequest& req);
+  /// Upper-bound estimate of dist(u, v) through the decomposition's
+  /// center graph (apps/distance_oracle.hpp); kInfDist across components.
+  /// Requires an unweighted algorithm; throws std::invalid_argument for
+  /// weighted ones.
+  std::uint32_t estimate_distance(vertex_t u, vertex_t v,
+                                  const DecompositionRequest& req);
+
+  // --- persistence (unweighted algorithms) ---
+
+  /// Save the cached result for `req` (running it first if needed) as a
+  /// decomposition file with its telemetry block, so a later session can
+  /// load_cached() it instead of recomputing.
+  void save_cached(const DecompositionRequest& req, const std::string& path);
+  /// Restore a previously saved result into the cache under `req`
+  /// (SharedResultStore::load_cached: false when the file does not exist,
+  /// true without reading when `req` is already cached, same errors).
+  bool load_cached(const DecompositionRequest& req, const std::string& path) {
+    return store_->load_cached(req, path);
+  }
+
+ private:
+  explicit DecompositionSession(std::unique_ptr<SharedResultStore> store);
+  /// The store's entry for `req`, computing it first when cold. Valid
+  /// until clear_cache(): the store keeps its own reference.
+  const MaterializedDecomposition& entry(const DecompositionRequest& req);
+
+  std::unique_ptr<SharedResultStore> store_;
 };
 
 }  // namespace mpx

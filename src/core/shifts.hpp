@@ -67,8 +67,8 @@ void generate_shifts(vertex_t n, const PartitionOptions& opt, Shifts& out,
 /// unit-rate exponential each vertex scales by 1/beta); for the uniform
 /// distribution, the uniform draw u_v itself. Computing the basis once per
 /// (seed, distribution) and deriving each beta's shifts from it is how
-/// batch multi-beta runs (DecompositionSession) generate shifts once per
-/// seed — `shifts_from_basis` is guaranteed bitwise-identical to
+/// batch multi-beta runs (SharedResultStore::acquire_batch) generate
+/// shifts once per batch — `shifts_from_basis` is guaranteed bitwise-identical to
 /// `generate_shifts` at every beta, because the per-beta scaling performs
 /// the exact floating-point operations of the direct draw.
 struct ShiftBasis {

@@ -299,8 +299,8 @@ void save_snapshot(const std::string& path, const WeightedCsrGraph& g,
 /// when `verify_checksum` is set, because that forces every page resident
 /// and defeats lazy mapping (snapshot_tool verify covers it instead). A
 /// cold-tier file cannot alias the mapping, so it is materialized exactly
-/// like `load_snapshot` (use `BlockCache` in graph/snapshot_blocks.hpp for
-/// bounded-memory access). On hosts without POSIX mmap this falls back to
+/// like `load_snapshot` (use `storage::PagedGraph` in
+/// storage/paged_graph.hpp for bounded-memory access). On hosts without POSIX mmap this falls back to
 /// `load_snapshot`.
 [[nodiscard]] CsrGraph map_snapshot(const std::string& path,
                                     bool verify_checksum = false);

@@ -1,6 +1,5 @@
 #include "graph/snapshot_blocks.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <mutex>
@@ -119,59 +118,6 @@ WeightedCsrGraph SnapshotBlockReader::materialize_weighted() const {
                              path_);
   return WeightedCsrGraph(std::move(topology), std::move(weights),
                           CsrGraph::Trusted{});
-}
-
-BlockCache::BlockCache(std::shared_ptr<const SnapshotBlockReader> reader,
-                       std::size_t max_resident_blocks)
-    : reader_(std::move(reader)),
-      max_resident_(std::max<std::size_t>(1, max_resident_blocks)) {}
-
-std::span<const vertex_t> BlockCache::block(std::size_t b) {
-  if (const auto it = by_block_.find(b); it != by_block_.end()) {
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to front
-    return it->second->second;
-  }
-  ++stats_.misses;
-  std::vector<vertex_t> decoded(reader_->block_arc_count(b));
-  reader_->decode_block(b, decoded);
-  while (lru_.size() >= max_resident_) {
-    by_block_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  lru_.emplace_front(b, std::move(decoded));
-  by_block_.emplace(b, lru_.begin());
-  stats_.resident_blocks = lru_.size();
-  return lru_.front().second;
-}
-
-std::span<const vertex_t> BlockCache::neighbors(vertex_t v) {
-  const std::span<const edge_t> offsets = reader_->offsets();
-  const edge_t begin = offsets[v];
-  const edge_t end = offsets[v + 1];
-  if (begin == end) return {};
-  const std::size_t first_block = reader_->block_of_arc(begin);
-  const std::size_t last_block = reader_->block_of_arc(end - 1);
-  if (first_block == last_block) {
-    const std::span<const vertex_t> arcs = block(first_block);
-    const edge_t block_begin = reader_->block_arc_begin(first_block);
-    return arcs.subspan(static_cast<std::size_t>(begin - block_begin),
-                        static_cast<std::size_t>(end - begin));
-  }
-  // The run crosses blocks: stitch it into the scratch buffer.
-  scratch_.clear();
-  scratch_.reserve(static_cast<std::size_t>(end - begin));
-  for (std::size_t b = first_block; b <= last_block; ++b) {
-    const std::span<const vertex_t> arcs = block(b);
-    const edge_t block_begin = reader_->block_arc_begin(b);
-    const edge_t lo = std::max(begin, block_begin);
-    const edge_t hi =
-        std::min<edge_t>(end, block_begin + reader_->block_arc_count(b));
-    const auto* data = arcs.data() + (lo - block_begin);
-    scratch_.insert(scratch_.end(), data, data + (hi - lo));
-  }
-  return scratch_;
 }
 
 }  // namespace mpx::io

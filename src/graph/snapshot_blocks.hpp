@@ -5,25 +5,21 @@
 /// (graph/snapshot_codec.hpp). `load_snapshot` materializes the whole
 /// graph; this header is the alternative for graphs bigger than RAM:
 ///
-///  * `SnapshotBlockReader` maps the file, eagerly validates the header,
-///    the block index, and the (decompressed, resident) offsets array —
-///    everything except the block payloads, which are checksum-verified
-///    **lazily**, block by block, as they are decoded.
-///  * `BlockCache` keeps a bounded number of decoded blocks resident with
-///    LRU eviction, exposing per-vertex adjacency spans on top.
-///
-/// Memory for a cache of `k` blocks over a graph with block size `B` is
-/// O(n) for the offsets plus O(k * B) decoded arcs, independent of m.
+/// `SnapshotBlockReader` maps the file and eagerly validates the header,
+/// the block index, and the (decompressed, resident) offsets array —
+/// everything except the block payloads, which are checksum-verified
+/// **lazily**, block by block, as they are decoded. The bounded block
+/// cache and the per-vertex adjacency view on top of it live in
+/// src/storage/ (`storage::ShardedBlockCache`, `storage::PagedGraph`):
+/// O(n) resident offsets plus a byte budget of decoded arcs, independent
+/// of m.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -112,65 +108,6 @@ class SnapshotBlockReader {
   std::vector<std::uint64_t> payload_start_;  // per-block payload offset
   std::span<const double> weights_;           // raw view; empty if absent
   std::string path_;                          // for error messages
-};
-
-/// Bounded LRU cache of decoded cold-tier blocks.
-///
-/// NOT thread-safe: each thread should own its cache (they can share one
-/// `SnapshotBlockReader`). Spans returned by `block`/`neighbors` stay
-/// valid only until the next call on the same cache, which may evict the
-/// backing buffer.
-///
-/// **Span-invalidation hazard.** The spans alias the cache's internal
-/// buffers directly, with no pin: holding one across *any* later
-/// `block`/`neighbors` call is a use-after-free the moment that call
-/// evicts the backing block (a capacity-1 cache makes it deterministic;
-/// `tests/test_paged_graph.cpp` `OldBlockCacheSpanDiesOnEviction`
-/// demonstrates it under ASan). This is fine for the strictly one-span-
-/// at-a-time loops this class was built for, and wrong for everything
-/// else — concurrent traversals included. New code should use
-/// `storage::ShardedBlockCache` (storage/block_cache.hpp), whose pin API
-/// (`BlockPin`) keeps a block's bytes alive for as long as the caller
-/// holds the pin, across evictions and from any thread.
-class BlockCache {
- public:
-  /// Cache statistics; monotone except `resident_blocks`.
-  struct Stats {
-    std::uint64_t hits = 0;        ///< Lookups served without decoding.
-    std::uint64_t misses = 0;      ///< Lookups that decoded a block.
-    std::uint64_t evictions = 0;   ///< Blocks dropped to stay bounded.
-    std::size_t resident_blocks = 0;  ///< Blocks currently decoded.
-  };
-
-  /// Cache at most `max_resident_blocks` (>= 1) decoded blocks of
-  /// `reader`.
-  BlockCache(std::shared_ptr<const SnapshotBlockReader> reader,
-             std::size_t max_resident_blocks);
-
-  /// The decoded arcs of block `b`, decoding (and possibly evicting the
-  /// least-recently-used block) on miss.
-  [[nodiscard]] std::span<const vertex_t> block(std::size_t b);
-
-  /// The adjacency of vertex `v`. A run contained in one block aliases
-  /// that block's cached buffer; a run crossing blocks is stitched into an
-  /// internal scratch buffer (still invalidated by the next call).
-  [[nodiscard]] std::span<const vertex_t> neighbors(vertex_t v);
-
-  /// Current counters.
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  /// The underlying reader (shared, immutable).
-  [[nodiscard]] const SnapshotBlockReader& reader() const { return *reader_; }
-
- private:
-  using Slot = std::pair<std::size_t, std::vector<vertex_t>>;
-
-  std::shared_ptr<const SnapshotBlockReader> reader_;
-  std::size_t max_resident_;
-  std::list<Slot> lru_;  // front = most recent
-  std::unordered_map<std::size_t, std::list<Slot>::iterator> by_block_;
-  std::vector<vertex_t> scratch_;
-  Stats stats_;
 };
 
 }  // namespace mpx::io

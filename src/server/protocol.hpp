@@ -203,7 +203,8 @@ struct BoundaryResponse {
 };
 
 /// Multi-beta batch run (DecompositionSession::run_batch semantics: the
-/// seed's shift draws are generated once and shared across the ladder).
+/// seed's shift draws are generated once per batch and shared across the
+/// ladder).
 struct BatchRequest {
   DecompositionRequest base;  ///< base.beta is ignored; betas below rule
   std::vector<double> betas;
@@ -247,14 +248,14 @@ struct StatsRequest {
 /// frame-level protocol version.
 inline constexpr std::uint16_t kStatsFormatVersion = 1;
 
-/// The server's full metrics snapshot: the fixed lifetime counters of
-/// `ServerStats`, the result-store and block-cache occupancy, and the
-/// generic metrics registry (per-request-type latency histograms,
+/// The server's full metrics snapshot (also DecompServer::stats()): the
+/// fixed lifetime counters, the result-store and block-cache occupancy,
+/// and the generic metrics registry (per-request-type latency histograms,
 /// queue-wait, decompose phase timings — docs/OBSERVABILITY.md lists the
 /// names). Histogram buckets travel sparse: only occupied buckets, in
 /// strictly ascending index order.
 struct StatsResponse {
-  // Lifetime server counters (ServerStats mirror).
+  // Lifetime server counters.
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;
   std::uint64_t errors = 0;

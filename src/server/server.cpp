@@ -14,10 +14,7 @@
 #include <utility>
 
 #include "core/session.hpp"
-#include "graph/snapshot.hpp"
-#include "graph/snapshot_blocks.hpp"
 #include "server/protocol.hpp"
-#include "storage/paged_graph.hpp"
 #include "support/timer.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -243,9 +240,6 @@ void set_nonblocking(int fd) {
 struct DecompServer::Impl {
   ServerConfig config;
 
-  bool weighted = false;
-  CsrGraph graph;            // unweighted snapshots
-  WeightedCsrGraph wgraph;   // weighted snapshots
   std::unique_ptr<SharedResultStore> store;  // the fleet-wide result cache
 
   int listen_fd = -1;
@@ -356,14 +350,52 @@ struct DecompServer::Impl {
     g_cache_bytes->set(static_cast<std::int64_t>(cache.resident_bytes));
   }
 
+  /// The kStatsResponse body: the fixed lifetime counters, store and
+  /// block-cache occupancy, and the registry snapshot. The one source of
+  /// both the wire answer and DecompServer::stats().
+  [[nodiscard]] StatsResponse stats_response() {
+    StatsResponse out;
+    out.connections = connections.load(std::memory_order_relaxed);
+    out.requests = requests.load(std::memory_order_relaxed);
+    out.errors = errors.load(std::memory_order_relaxed);
+    out.info_requests = info_requests.load(std::memory_order_relaxed);
+    out.run_requests = run_requests.load(std::memory_order_relaxed);
+    out.query_requests = query_requests.load(std::memory_order_relaxed);
+    out.boundary_requests = boundary_requests.load(std::memory_order_relaxed);
+    out.batch_requests = batch_requests.load(std::memory_order_relaxed);
+    out.stats_requests = stats_requests.load(std::memory_order_relaxed);
+    out.accept_backoffs = accept_backoffs.load(std::memory_order_relaxed);
+    out.write_timeouts = write_timeouts.load(std::memory_order_relaxed);
+    out.service_seconds =
+        static_cast<double>(service_nanos.load(std::memory_order_relaxed)) /
+        1e9;
+    if (store != nullptr) {
+      out.results_computed = store->computes();
+      out.store_resident_results = store->size();
+      out.store_computes = out.results_computed;
+      const storage::ShardedBlockCache::Stats cache = store->cache_stats();
+      out.cache_hits = cache.hits;
+      out.cache_misses = cache.misses;
+      out.cache_evictions = cache.evictions;
+      out.cache_resident_blocks = cache.resident_blocks;
+      out.cache_resident_bytes = cache.resident_bytes;
+    }
+    // Registry sections ride along (empty registry when metrics are off —
+    // the fixed counters above stay live either way).
+    refresh_gauges();
+    out.metrics = metrics.snapshot();
+    return out;
+  }
+
 #if MPX_SERVER_HAVE_SOCKETS
   void open_listener();
   void dispatch_loop();
   void accept_new();
   void worker_loop(std::uint32_t worker_id);
   /// Called by a worker right before a store operation that may block
-  /// (cold compute, single-flight wait, warm-file IO): wakes one sleeping
-  /// worker if the ready queue would otherwise be stranded behind us.
+  /// (cold compute, single-flight wait, warm-file IO, an entry's first
+  /// boundary or oracle build): wakes one sleeping worker if the ready
+  /// queue would otherwise be stranded behind us.
   void kick_helper();
   [[nodiscard]] Disposition service(Connection& conn,
                                     std::uint32_t worker_id);
@@ -949,7 +981,7 @@ Disposition DecompServer::Impl::service(Connection& conn,
         static_cast<std::uint64_t>(timer.seconds() * 1e9);
     service_nanos.fetch_add(elapsed_ns, std::memory_order_relaxed);
     // Per-type service latency + the service trace span reuse the timer
-    // that already feeds ServerStats::service_seconds — no extra clock
+    // that already feeds StatsResponse::service_seconds — no extra clock
     // read on the metrics path.
     if (metrics_on) {
       const int slot = service_slot(header.type);
@@ -1094,6 +1126,8 @@ void DecompServer::Impl::handle_frame(Connection& conn,
             out.value = entry.owner_of(u);
             break;
           case QueryKind::kDistance:
+            // The first distance query on an entry builds its oracle.
+            if (!entry.distance_oracle_built()) kick_helper();
             out.value = entry.estimate_distance(u, v);
             break;
         }
@@ -1162,8 +1196,10 @@ void DecompServer::Impl::handle_frame(Connection& conn,
     case MessageType::kBoundaryRequest: {
       const BoundaryRequest req = decode_boundary_request(payload);
       boundary_requests.fetch_add(1, std::memory_order_relaxed);
+      // The acquire may block on a cold decomposition, and the entry
+      // builds its boundary list on the first request for it.
+      kick_helper();
       if (conn.memo_entry == nullptr || !(conn.memo_request == req.request)) {
-        kick_helper();  // acquire may block on a cold decomposition
         const SharedResultStore::Acquired acquired =
             store->acquire(req.request);
         if (tracer != nullptr && !acquired.from_cache) {
@@ -1184,7 +1220,9 @@ void DecompServer::Impl::handle_frame(Connection& conn,
     case MessageType::kBatchRequest: {
       const BatchRequest req = decode_batch_request(payload);
       batch_requests.fetch_add(1, std::memory_order_relaxed);
-      kick_helper();  // the batch may block on several cold decompositions
+      // The batch may block on several cold decompositions, and each entry
+      // builds its boundary list on first use (boundary_edges below).
+      kick_helper();
       const std::vector<SharedResultStore::Acquired> acquired =
           store->acquire_batch(req.base, req.betas);
       if (tracer != nullptr) {
@@ -1213,39 +1251,8 @@ void DecompServer::Impl::handle_frame(Connection& conn,
     case MessageType::kStatsRequest: {
       (void)decode_stats_request(payload);
       stats_requests.fetch_add(1, std::memory_order_relaxed);
-      StatsResponse out;
-      out.connections = connections.load(std::memory_order_relaxed);
-      out.requests = requests.load(std::memory_order_relaxed);
-      out.errors = errors.load(std::memory_order_relaxed);
-      out.info_requests = info_requests.load(std::memory_order_relaxed);
-      out.run_requests = run_requests.load(std::memory_order_relaxed);
-      out.query_requests = query_requests.load(std::memory_order_relaxed);
-      out.boundary_requests =
-          boundary_requests.load(std::memory_order_relaxed);
-      out.batch_requests = batch_requests.load(std::memory_order_relaxed);
-      out.stats_requests = stats_requests.load(std::memory_order_relaxed);
-      out.accept_backoffs = accept_backoffs.load(std::memory_order_relaxed);
-      out.write_timeouts = write_timeouts.load(std::memory_order_relaxed);
-      out.results_computed = store->computes();
-      out.service_seconds =
-          static_cast<double>(
-              service_nanos.load(std::memory_order_relaxed)) /
-          1e9;
-      out.store_resident_results = store->size();
-      out.store_computes = store->computes();
-      const storage::ShardedBlockCache::Stats cache = store->cache_stats();
-      out.cache_hits = cache.hits;
-      out.cache_misses = cache.misses;
-      out.cache_evictions = cache.evictions;
-      out.cache_resident_blocks = cache.resident_blocks;
-      out.cache_resident_bytes = cache.resident_bytes;
-      // Registry sections ride along (empty registry when metrics are
-      // off — the fixed counters above stay live either way).
-      refresh_gauges();
-      out.metrics = metrics.snapshot();
-      enqueue(conn,
-              make_owned_frame(encode_message(MessageType::kStatsResponse,
-                                              out)));
+      enqueue(conn, make_owned_frame(encode_message(
+                        MessageType::kStatsResponse, stats_response())));
       return;
     }
     case MessageType::kShutdownRequest: {
@@ -1298,28 +1305,7 @@ bool DecompServer::running() const {
 
 bool DecompServer::stop_requested() const { return impl_->stopping.load(); }
 
-ServerStats DecompServer::stats() const {
-  ServerStats s;
-  s.connections = impl_->connections.load(std::memory_order_relaxed);
-  s.requests = impl_->requests.load(std::memory_order_relaxed);
-  s.errors = impl_->errors.load(std::memory_order_relaxed);
-  s.info_requests = impl_->info_requests.load(std::memory_order_relaxed);
-  s.run_requests = impl_->run_requests.load(std::memory_order_relaxed);
-  s.query_requests = impl_->query_requests.load(std::memory_order_relaxed);
-  s.boundary_requests =
-      impl_->boundary_requests.load(std::memory_order_relaxed);
-  s.batch_requests = impl_->batch_requests.load(std::memory_order_relaxed);
-  s.stats_requests = impl_->stats_requests.load(std::memory_order_relaxed);
-  s.accept_backoffs = impl_->accept_backoffs.load(std::memory_order_relaxed);
-  s.write_timeouts = impl_->write_timeouts.load(std::memory_order_relaxed);
-  s.results_computed =
-      impl_->store != nullptr ? impl_->store->computes() : 0;
-  s.service_seconds =
-      static_cast<double>(
-          impl_->service_nanos.load(std::memory_order_relaxed)) /
-      1e9;
-  return s;
-}
+StatsResponse DecompServer::stats() const { return impl_->stats_response(); }
 
 obs::MetricsSnapshot DecompServer::metrics_snapshot() const {
   impl_->refresh_gauges();
@@ -1342,28 +1328,11 @@ void DecompServer::start() {
     throw std::invalid_argument("mpx::server: config.workers must be >= 1");
   }
 
-  // Map the snapshot once; the shared store's graph is a shallow copy
-  // that shares the mapping through the view graph's keepalive.
-  const io::SnapshotInfo info = io::read_snapshot_info(impl.config.snapshot_path);
-  impl.weighted = info.weighted();
-  if (impl.config.memory_budget_bytes > 0 && info.cold() &&
-      !info.weighted() &&
-      info.resident_bytes_estimate() > impl.config.memory_budget_bytes) {
-    // Out-of-core serving: the graph is never fully resident — workers
-    // share one bounded block cache (SessionConfig paged-mode criteria).
-    auto reader = std::make_shared<const io::SnapshotBlockReader>(
-        impl.config.snapshot_path);
-    impl.store = std::make_unique<SharedResultStore>(
-        std::make_shared<storage::PagedGraph>(
-            std::move(reader), impl.config.memory_budget_bytes));
-  } else if (impl.weighted) {
-    impl.wgraph = io::map_weighted_snapshot(impl.config.snapshot_path);
-    impl.store =
-        std::make_unique<SharedResultStore>(WeightedCsrGraph(impl.wgraph));
-  } else {
-    impl.graph = io::map_snapshot(impl.config.snapshot_path);
-    impl.store = std::make_unique<SharedResultStore>(CsrGraph(impl.graph));
-  }
+  // Map the snapshot once (or page it under the memory budget); every
+  // worker serves from the one store.
+  impl.store = SharedResultStore::open_snapshot(
+      impl.config.snapshot_path,
+      SessionConfig{impl.config.memory_budget_bytes});
   impl.restore_warm(/*strict=*/true);
 
   // Register every instrument once, before any serving thread exists:

@@ -27,12 +27,14 @@
 /// either `wait()` for a stop (client kShutdownRequest or
 /// `request_stop()`) or call `stop()` directly. Shutdown is graceful:
 /// in-flight requests finish, then connections and the listener close.
-/// Warm-start: `ServerConfig::warm` entries are loaded + materialized
-/// into the shared store before the first connection is accepted.
+/// Warm-start: `ServerConfig::warm` entries are loaded into the shared
+/// store before the first connection is accepted (their boundary lists
+/// and distance oracles are built by the first query that needs them).
 ///
 /// Per-request telemetry (counts by type, error count, summed service
-/// seconds, fd-exhaustion backoffs, write-timeout drops) is exposed via
-/// `stats()`.
+/// seconds, fd-exhaustion backoffs, write-timeout drops, store and block
+/// cache occupancy, the metrics registry) is exposed via `stats()` — the
+/// same StatsResponse a client's kStatsRequest receives.
 ///
 /// Only Unix-like hosts have the socket transports; elsewhere `start()`
 /// throws std::runtime_error (the protocol layer itself is portable).
@@ -47,11 +49,12 @@
 #include "core/decomposer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "server/protocol.hpp"
 
 namespace mpx::server {
 
 /// One decomposition to restore into the shared result store before
-/// serving (SharedResultStore::load_cached; materialization is eager).
+/// serving (SharedResultStore::load_cached).
 struct WarmStartEntry {
   DecompositionRequest request;  ///< cache key the file restores
   std::string path;              ///< decomposition file (save_cached output)
@@ -83,7 +86,7 @@ struct ServerConfig {
   std::size_t max_cached_results = 256;
   /// Seconds a connection may sit with queued response bytes and a peer
   /// that accepts none of them before the server drops it (counted in
-  /// ServerStats::write_timeouts). Any write progress resets the clock.
+  /// StatsResponse::write_timeouts). Any write progress resets the clock.
   /// 0 disables the timeout. Granularity is the server's poll interval
   /// (~200 ms).
   double write_timeout = 30.0;
@@ -107,31 +110,6 @@ struct ServerConfig {
   std::string trace_path;
   /// Span ring capacity for trace_path (oldest spans overwritten).
   std::size_t trace_capacity = 1u << 16;
-};
-
-/// Snapshot of the server's lifetime request telemetry.
-struct ServerStats {
-  std::uint64_t connections = 0;       ///< connections accepted
-  std::uint64_t requests = 0;          ///< frames answered (errors included)
-  std::uint64_t errors = 0;            ///< kErrorResponse frames sent
-  std::uint64_t info_requests = 0;
-  std::uint64_t run_requests = 0;
-  std::uint64_t query_requests = 0;
-  std::uint64_t boundary_requests = 0;
-  std::uint64_t batch_requests = 0;
-  std::uint64_t stats_requests = 0;
-  /// Times the acceptor backed off for a poll interval because accept()
-  /// hit fd exhaustion (EMFILE/ENFILE and kin) — without the backoff a
-  /// ready listener it cannot drain would busy-spin the dispatcher.
-  std::uint64_t accept_backoffs = 0;
-  /// Connections dropped because a peer stopped draining its socket for
-  /// longer than ServerConfig::write_timeout.
-  std::uint64_t write_timeouts = 0;
-  /// Decompositions actually computed by the shared store — request
-  /// traffic minus every flavor of cache hit (fleet-wide, so N workers
-  /// asked the same cold request still compute once).
-  std::uint64_t results_computed = 0;
-  double service_seconds = 0.0;        ///< summed per-request handle time
 };
 
 class DecompServer {
@@ -170,7 +148,8 @@ class DecompServer {
   [[nodiscard]] std::uint16_t port() const;
 
   [[nodiscard]] const ServerConfig& config() const;
-  [[nodiscard]] ServerStats stats() const;
+  /// The server's full stats snapshot (what kStatsRequest answers).
+  [[nodiscard]] StatsResponse stats() const;
 
   /// Snapshot of the server's metrics registry (what kStatsResponse
   /// carries in its generic sections). Valid after start().

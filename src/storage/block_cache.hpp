@@ -3,10 +3,9 @@
 ///
 /// The cold tier (docs/FORMATS.md "version 2") stores arc targets in
 /// fixed-size delta/entropy-coded blocks behind io::SnapshotBlockReader.
-/// io::BlockCache decodes them lazily but is single-threaded and its
-/// spans die on eviction (see the hazard note in graph/snapshot_blocks.hpp).
-/// ShardedBlockCache is the concurrent replacement the paged graph layer
-/// (storage/paged_graph.hpp) is built on:
+/// ShardedBlockCache keeps a byte-bounded set of decoded blocks resident
+/// for concurrent readers; the paged graph layer (storage/paged_graph.hpp)
+/// is built on it:
 ///
 ///  * blocks are **pinned**, not borrowed: pin() returns a shared_ptr to
 ///    the decoded targets, so eviction only drops the cache's reference —

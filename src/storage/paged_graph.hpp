@@ -42,9 +42,10 @@ namespace mpx::storage {
 ///
 /// Thread-safe: any number of threads may call the const read surface
 /// concurrently (each thread gets its own neighbor lens; the block cache
-/// is sharded). Not copyable — share via shared_ptr, like the sessions
-/// and the server do.
-class PagedGraph {
+/// is sharded). Not copyable — share via shared_ptr, like the result
+/// store and the server do (store entries take their share through
+/// shared_from_this()).
+class PagedGraph : public std::enable_shared_from_this<PagedGraph> {
  public:
   /// Traversal-engine capability flag: pull sweeps would thrash the block
   /// cache, so the engine must stay on the push path (see file comment).
@@ -121,7 +122,7 @@ class PagedGraph {
 ///
 /// The decomposition session does not yet serve weighted graphs paged
 /// (weighted cold snapshots materialize regardless of budget — see
-/// DecompositionSession::open_snapshot); this type exists so the weighted
+/// SharedResultStore::open_snapshot); this type exists so the weighted
 /// path has the same shape when the weighted engine unifies.
 class PagedWeightedGraph {
  public:

@@ -1,9 +1,8 @@
-// Tests for the cold-tier block reader and the bounded LRU block cache
-// (src/graph/snapshot_blocks.*): per-vertex adjacency correctness against
-// the in-memory graph (including runs stitched across block boundaries),
-// the residency bound, hit/miss/eviction accounting, lazy per-block
-// checksum verification, and materialize() equivalence with the eager
-// loaders.
+// Tests for the cold-tier block reader (src/graph/snapshot_blocks.*):
+// block geometry, per-block decode against the in-memory graph, lazy
+// per-block checksum verification, raw weight access, and materialize()
+// equivalence with the eager loaders. The block cache over the reader is
+// tested in test_paged_graph.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,98 +127,6 @@ TEST(SnapshotBlockReader, LazyBlockChecksumCatchesPayloadFlip) {
   std::vector<vertex_t> out(reader.block_arc_count(0));
   EXPECT_THROW(reader.decode_block(0, out), std::runtime_error);
   EXPECT_THROW((void)reader.materialize(), std::runtime_error);
-}
-
-TEST(BlockCache, NeighborsMatchInMemoryGraphEverywhere) {
-  TempDir tmp("blockcache");
-  const CsrGraph g = generators::rmat(9, 8.0, 5);
-  const auto reader = cold_reader(tmp, g, 32);
-  io::BlockCache cache(reader, /*max_resident_blocks=*/4);
-
-  std::size_t crossing_runs = 0;
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-    const auto expected = g.neighbors(v);
-    const auto got = cache.neighbors(v);
-    ASSERT_EQ(got.size(), expected.size()) << "v=" << v;
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
-        << "v=" << v;
-    if (expected.size() > 1 &&
-        reader->block_of_arc(g.offsets()[v]) !=
-            reader->block_of_arc(g.offsets()[v + 1] - 1)) {
-      ++crossing_runs;
-    }
-  }
-  // The fixture must actually exercise the stitched path.
-  EXPECT_GT(crossing_runs, 0u);
-  EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-TEST(BlockCache, ResidencyStaysBounded) {
-  TempDir tmp("blockcache");
-  const CsrGraph g = generators::grid2d(24, 24);
-  const auto reader = cold_reader(tmp, g, 16);
-  ASSERT_GT(reader->num_blocks(), 8u);
-  io::BlockCache cache(reader, /*max_resident_blocks=*/3);
-
-  for (vertex_t v = 0; v < g.num_vertices(); v = v + 7) {
-    (void)cache.neighbors(v);
-    ASSERT_LE(cache.stats().resident_blocks, 3u);
-  }
-  const io::BlockCache::Stats& s = cache.stats();
-  EXPECT_GT(s.misses, 0u);
-  EXPECT_GT(s.evictions, 0u);
-  EXPECT_EQ(s.misses, s.evictions + s.resident_blocks);
-}
-
-TEST(BlockCache, RepeatedAccessHitsWithoutDecoding) {
-  TempDir tmp("blockcache");
-  const CsrGraph g = generators::grid2d(10, 10);
-  const auto reader = cold_reader(tmp, g, 64);
-  io::BlockCache cache(reader, reader->num_blocks());
-
-  (void)cache.block(0);
-  const std::size_t misses_after_first = cache.stats().misses;
-  for (int i = 0; i < 5; ++i) (void)cache.block(0);
-  EXPECT_EQ(cache.stats().misses, misses_after_first);
-  EXPECT_GE(cache.stats().hits, 5u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-TEST(BlockCache, LruEvictsTheColdestBlock) {
-  TempDir tmp("blockcache");
-  const CsrGraph g = generators::grid2d(24, 24);
-  const auto reader = cold_reader(tmp, g, 16);
-  ASSERT_GE(reader->num_blocks(), 3u);
-  io::BlockCache cache(reader, /*max_resident_blocks=*/2);
-
-  (void)cache.block(0);
-  (void)cache.block(1);
-  (void)cache.block(0);  // touch 0: block 1 is now LRU
-  (void)cache.block(2);  // evicts 1
-  const std::size_t misses_before = cache.stats().misses;
-  (void)cache.block(0);  // still resident: hit
-  EXPECT_EQ(cache.stats().misses, misses_before);
-  (void)cache.block(1);  // was evicted: miss
-  EXPECT_EQ(cache.stats().misses, misses_before + 1);
-}
-
-TEST(BlockCache, SingleBlockSpansAliasTheCache) {
-  // A run inside one block is served as a zero-copy subspan of the cached
-  // block, not a copy into scratch.
-  TempDir tmp("blockcache");
-  const CsrGraph g = generators::grid2d(8, 8);
-  // One giant block: every run is the single-block case.
-  const auto reader =
-      cold_reader(tmp, g, static_cast<std::uint32_t>(g.num_arcs()));
-  ASSERT_EQ(reader->num_blocks(), 1u);
-  io::BlockCache cache(reader, 1);
-  const auto block = cache.block(0);
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-    const auto nbrs = cache.neighbors(v);
-    if (!nbrs.empty()) {
-      EXPECT_EQ(nbrs.data(), block.data() + g.offsets()[v]) << "v=" << v;
-    }
-  }
 }
 
 TEST(BlockCache, WeightedReaderExposesRawWeights) {

@@ -1,16 +1,14 @@
 // Tests for the out-of-core storage layer (src/storage/): the thread-safe
-// sharded block cache (pins survive eviction, budget bounds residency,
-// stats account every decode), the PagedGraph read surface against the
-// in-memory graph, paged-vs-in-memory byte-identity of the mpx
-// decomposition across the fixture corpus x {1, 2, 8} threads x cache
-// budgets, the paged session/store/oracle query surface, the
-// degree-descending snapshot placement, and the documented
-// span-invalidation hazard of the legacy io::BlockCache.
+// sharded block cache (pins survive eviction, budget bounds residency in
+// LRU order, stats account every decode), the PagedGraph read surface
+// against the in-memory graph, paged-vs-in-memory byte-identity of the
+// mpx decomposition across the fixture corpus x {1, 2, 8} threads x cache
+// budgets, the paged session/store/oracle query surface and its lazy
+// boundary/oracle builds, and the degree-descending snapshot placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -100,6 +98,28 @@ TEST(ShardedBlockCache, BudgetBoundsResidencyAndCountsEvictions) {
   EXPECT_GE(stats.resident_blocks, 1u);
 }
 
+TEST(ShardedBlockCache, LruEvictsTheColdestBlock) {
+  TempDir tmp("paged");
+  const CsrGraph g = generators::grid2d(24, 24);
+  const auto reader = cold_reader(tmp, g, 16);
+  ASSERT_GE(reader->num_blocks(), 4u);
+  // One shard, room for two full blocks.
+  storage::ShardedBlockCache cache(reader, 2 * block_bytes(*reader),
+                                   /*num_shards=*/1);
+  (void)cache.pin(0);
+  (void)cache.pin(1);
+  (void)cache.pin(0);  // touch 0: block 1 is now least recently used
+  (void)cache.pin(2);  // evicts 1
+  const std::uint64_t misses_before = cache.stats().misses;
+  (void)cache.pin(0);  // still resident: hit
+  EXPECT_EQ(cache.stats().misses, misses_before);
+  (void)cache.pin(1);  // was evicted: miss
+  EXPECT_EQ(cache.stats().misses, misses_before + 1);
+  // Single-threaded, every decode is either resident or evicted.
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, stats.evictions + stats.resident_blocks);
+}
+
 TEST(ShardedBlockCache, PinnedBlockSurvivesEviction) {
   TempDir tmp("paged");
   const CsrGraph g = generators::grid2d(24, 24);
@@ -152,34 +172,6 @@ TEST(ShardedBlockCache, EightThreadHammerStaysConsistent) {
   EXPECT_EQ(stats.hits + stats.misses, 8u * 400u);
 }
 
-// --- the legacy io::BlockCache hazard (satellite: regression-document) -----
-
-TEST(OldBlockCache, OldBlockCacheSpanDiesOnEviction) {
-  // Documents the span-invalidation contract storage::ShardedBlockCache
-  // exists to close: a span returned by io::BlockCache::neighbors()
-  // aliases the cache's internal buffer and dies when a later call evicts
-  // that block. With MPX_DEMONSTRATE_UAF=1 this test dereferences the
-  // stale span so ASan proves the old behavior unsafe; without it, it
-  // only asserts the eviction that would have freed the bytes happened.
-  TempDir tmp("paged");
-  const CsrGraph g = generators::grid2d(16, 16);
-  const auto reader = cold_reader(tmp, g, 32);
-  ASSERT_GT(reader->num_blocks(), 2u);
-  io::BlockCache cache(reader, /*max_resident_blocks=*/1);
-  const std::span<const vertex_t> stale = cache.neighbors(0);
-  ASSERT_FALSE(stale.empty());
-  // Touch the far end of the file: capacity 1 forces the eviction of the
-  // block backing `stale`.
-  (void)cache.neighbors(g.num_vertices() - 1);
-  ASSERT_GT(cache.stats().evictions, 0u);
-  if (std::getenv("MPX_DEMONSTRATE_UAF") != nullptr) {
-    // Use-after-evict, on purpose. ASan reports heap-use-after-free here.
-    volatile vertex_t sink = stale[0];
-    (void)sink;
-  }
-  // The pinned replacement has no such hazard (see PinnedBlockSurvivesEviction).
-}
-
 // --- PagedGraph ------------------------------------------------------------
 
 TEST(PagedGraph, MatchesInMemoryReadSurface) {
@@ -206,6 +198,25 @@ TEST(PagedGraph, MatchesInMemoryReadSurface) {
       ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
                              want.end()))
           << named.name << " v=" << v;
+    }
+  }
+}
+
+TEST(PagedGraph, SingleBlockSpansAliasThePinnedBlock) {
+  // A run inside one block is served as a zero-copy subspan of the cached
+  // block, not a copy into the lens scratch.
+  TempDir tmp("paged");
+  const CsrGraph g = generators::grid2d(8, 8);
+  // One giant block: every run is the single-block case.
+  const auto reader =
+      cold_reader(tmp, g, static_cast<std::uint32_t>(g.num_arcs()));
+  ASSERT_EQ(reader->num_blocks(), 1u);
+  const storage::PagedGraph paged(reader, /*cache_budget_bytes=*/0);
+  const storage::BlockPin block = paged.cache().pin(0);
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = paged.neighbors(v);
+    if (!nbrs.empty()) {
+      EXPECT_EQ(nbrs.data(), block->data() + g.offsets()[v]) << "v=" << v;
     }
   }
 }
@@ -390,23 +401,56 @@ TEST(PagedSession, LargeBudgetStaysInMemory) {
   EXPECT_FALSE(session.paged());
 }
 
-TEST(PagedSession, MaterializeEnablesConstQueries) {
+TEST(PagedStore, QueryArtifactsBuildOnFirstUse) {
+  // On a fresh paged graph the block-cache counters show every adjacency
+  // read: acquire, warm loads and owner/cluster queries read none beyond
+  // the compute's own, while the boundary list and the oracle each scan
+  // the graph exactly once, on their first query.
   TempDir tmp("paged");
   const CsrGraph g = generators::grid2d(16, 16);
-  const std::string path = save_cold(tmp, g, 32, "mat.mpxs");
+  const std::string path = save_cold(tmp, g, 32, "lazy.mpxs");
   SessionConfig config;
   config.memory_budget_bytes = 512;
-  DecompositionSession session =
-      DecompositionSession::open_snapshot(path, config);
-  ASSERT_TRUE(session.paged());
+  const auto reads = [](const SharedResultStore& store) {
+    const auto stats = store.cache_stats();
+    return stats.hits + stats.misses;
+  };
   DecompositionRequest req;
   req.beta = 0.2;
-  (void)session.materialize(req);
-  const DecompositionSession& view = session;
-  EXPECT_EQ(view.owner_of(3, req), session.run(req).owner[3]);
-  EXPECT_GE(view.num_clusters(req), 1u);
-  (void)view.boundary_arcs(req);
-  (void)view.estimate_distance(0, 5, req);
+  const std::string saved = tmp.file("lazy.dec");
+  DecompositionSession(io::load_snapshot(path)).save_cached(req, saved);
+
+  const std::unique_ptr<SharedResultStore> warm =
+      SharedResultStore::open_snapshot(path, config);
+  ASSERT_TRUE(warm->paged());
+  ASSERT_TRUE(warm->load_cached(req, saved));
+  EXPECT_EQ(reads(*warm), 0u);
+
+  const std::unique_ptr<SharedResultStore> store =
+      SharedResultStore::open_snapshot(path, config);
+  ASSERT_TRUE(store->paged());
+  const auto entry = store->acquire(req).entry;
+  const RunTelemetry& t = entry->result().telemetry;
+  const std::uint64_t after_compute = reads(*store);
+  EXPECT_EQ(after_compute, t.cache_hits + t.cache_misses);
+  EXPECT_EQ(entry->owner_of(3), entry->result().owner[3]);
+  EXPECT_GE(entry->num_clusters(), 1u);
+  (void)entry->cluster_of(5);
+  EXPECT_EQ(reads(*store), after_compute);
+
+  (void)entry->boundary_arcs();
+  const std::uint64_t after_boundary = reads(*store);
+  EXPECT_GT(after_boundary, after_compute);
+  (void)entry->boundary_arcs();
+  EXPECT_EQ(reads(*store), after_boundary);
+
+  EXPECT_FALSE(entry->distance_oracle_built());
+  (void)entry->estimate_distance(0, 5);
+  const std::uint64_t after_oracle = reads(*store);
+  EXPECT_GT(after_oracle, after_boundary);
+  EXPECT_TRUE(entry->distance_oracle_built());
+  (void)entry->estimate_distance(7, 200);
+  EXPECT_EQ(reads(*store), after_oracle);
 }
 
 TEST(PagedStore, AcquireMatchesInMemoryStore) {

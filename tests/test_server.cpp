@@ -451,7 +451,7 @@ TEST(Server, ConcurrentClientsGetConsistentAnswers) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const ServerStats stats = served.server->stats();
+  const StatsResponse stats = served.server->stats();
   EXPECT_GE(stats.connections, static_cast<std::uint64_t>(kClients));
   EXPECT_GE(stats.query_requests,
             static_cast<std::uint64_t>(2 * kClients * kIters));
@@ -541,7 +541,7 @@ TEST(Server, ShutdownRequestDrainsTheServer) {
   served.server->wait();
   // The socket is released: connecting again fails cleanly.
   EXPECT_THROW((void)served.connect(), std::runtime_error);
-  const ServerStats stats = served.server->stats();
+  const StatsResponse stats = served.server->stats();
   EXPECT_GE(stats.requests, 2u);
   EXPECT_GE(stats.run_requests, 1u);
 }

@@ -2,9 +2,10 @@
 // construction, request-keyed caching, batch multi-beta runs sharing one
 // shift basis, query answering (cluster-of / boundary / distance oracle),
 // and persistence of cached results with their telemetry. Also covers
-// SharedResultStore, the thread-safe fleet-wide cache the server builds
-// on: single-flight concurrent acquires, bitwise identity with session
-// answers, warm loads, and the clear()-with-outstanding-references
+// SharedResultStore, the thread-safe cache under the session and the
+// server: single-flight concurrent acquires, entries that build their
+// boundary list and oracle once on first use, bitwise identity with
+// session answers, warm loads, and the clear()-with-outstanding-references
 // lifetime contract.
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "parallel/thread_env.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/temp_dir.hpp"
 
@@ -268,92 +270,6 @@ TEST(Session, LoadCachedRejectsMismatchedGraph) {
   EXPECT_THROW((void)other.load_cached(req, path), std::runtime_error);
 }
 
-TEST(Session, ConstQueriesRequireMaterialize) {
-  DecompositionSession session(generators::grid2d(6, 6));
-  const DecompositionRequest req = request(0.3);
-  const DecompositionSession& view = session;
-
-  EXPECT_FALSE(session.materialized(req));
-  EXPECT_THROW((void)view.cluster_of(0, req), std::logic_error);
-  EXPECT_THROW((void)view.boundary_arcs(req), std::logic_error);
-
-  // run() alone is not enough: the boundary list and oracle are still
-  // lazy, so the const path keeps refusing until materialize().
-  (void)session.run(req);
-  EXPECT_FALSE(session.materialized(req));
-  EXPECT_THROW((void)view.owner_of(0, req), std::logic_error);
-
-  (void)session.materialize(req);
-  EXPECT_TRUE(session.materialized(req));
-  EXPECT_EQ(view.cluster_of(0, req), session.cluster_of(0, req));
-  EXPECT_EQ(view.num_clusters(req), session.num_clusters(req));
-}
-
-TEST(Session, MaterializeReturnsTheCachedResult) {
-  DecompositionSession session(generators::grid2d(10, 10));
-  const DecompositionRequest req = request(0.3);
-  const DecompositionResult& run_ref = session.run(req);
-  EXPECT_EQ(&session.materialize(req), &run_ref);
-  // Weighted results materialize without an oracle (there is nothing the
-  // unweighted distance oracle could serve).
-  DecompositionSession wsession(mpx::testing::grid3x3_weighted_reference());
-  const DecompositionRequest wreq = request(0.4, 1, "mpx-weighted");
-  (void)wsession.materialize(wreq);
-  EXPECT_TRUE(wsession.materialized(wreq));
-  const DecompositionSession& wview = wsession;
-  EXPECT_THROW((void)wview.estimate_distance(0, 1, wreq),
-               std::invalid_argument);
-}
-
-// The documented server guarantee: after materialize(req), the const
-// query path only reads immutable state, so any number of threads may
-// query concurrently. Run under ASan/TSan-less CI this still catches
-// logic races via wrong answers; under sanitizers it catches UB.
-TEST(Session, ConstQueryPathSurvivesConcurrentHammering) {
-  const CsrGraph g = generators::grid2d(40, 40);
-  DecompositionSession session((CsrGraph(g)));
-  const DecompositionRequest req = request(0.25);
-  const DecompositionResult& result = session.materialize(req);
-  const std::span<const Edge> boundary = session.boundary_arcs(req);
-  const DecompositionSession& view = session;
-
-  constexpr int kThreads = 8;
-  constexpr int kIters = 400;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const vertex_t n = g.num_vertices();
-      for (int i = 0; i < kIters; ++i) {
-        const auto v = static_cast<vertex_t>((t * 7919 + i * 104729) % n);
-        const auto u = static_cast<vertex_t>((t * 104729 + i * 7919) % n);
-        if (view.owner_of(v, req) != result.owner[v]) ++mismatches;
-        if (view.cluster_of(v, req) != result.cluster_of(v)) ++mismatches;
-        if (view.num_clusters(req) != result.num_clusters()) ++mismatches;
-        const std::span<const Edge> b = view.boundary_arcs(req);
-        if (b.data() != boundary.data() || b.size() != boundary.size()) {
-          ++mismatches;
-        }
-        // Distance estimates must be stable across threads (the oracle is
-        // immutable after materialize); symmetric sampling covers u == v.
-        if (view.estimate_distance(u, v, req) !=
-            view.estimate_distance(u, v, req)) {
-          ++mismatches;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  // Sequential spot check that the concurrent answers were the right ones.
-  const DistanceOracle oracle(g, Decomposition(result.decomposition));
-  for (vertex_t v = 0; v < g.num_vertices(); v += 97) {
-    EXPECT_EQ(view.estimate_distance(0, v, req), oracle.estimate(0, v));
-  }
-}
-
 TEST(Session, UnweightedAlgorithmsRunOnWeightedSessions) {
   DecompositionSession session(mpx::testing::grid3x3_weighted_reference());
   const DecompositionRequest req = request(0.5, 3);
@@ -378,8 +294,8 @@ TEST(SharedStore, AcquireMatchesSessionAndCachesFleetWide) {
   EXPECT_EQ(store.computes(), 1u);
   EXPECT_EQ(store.size(), 1u);
 
-  // The materialized entry answers exactly like a session over the same
-  // graph (both draw from the same shared per-seed shift basis).
+  // The entry answers exactly like a session over the same graph (results
+  // are deterministic in the request).
   DecompositionSession session((CsrGraph(g)));
   const DecompositionResult& expected = session.run(req);
   EXPECT_EQ(cold.entry->result().owner, expected.owner);
@@ -478,8 +394,7 @@ TEST(SharedStore, ClearKeepsOutstandingEntriesAliveAndRecomputesIdentically) {
   (void)held->cluster_of(0);
 
   // Recomputing after the clear reproduces the same bytes: the shift
-  // draws are a deterministic function of (seed, distribution), so
-  // dropping the shared bases loses no information.
+  // draws are a deterministic function of (seed, distribution).
   const SharedResultStore::Acquired again = store.acquire(req);
   EXPECT_FALSE(again.from_cache);
   EXPECT_EQ(store.computes(), 2u);
@@ -521,6 +436,66 @@ TEST(SharedStore, LoadCachedRestoresSavedResultsWarm) {
   EXPECT_THROW(
       (void)store.load_cached(request(0.3, 9, "mpx-weighted"), path),
       std::invalid_argument);
+}
+
+// Lazy single flight: 8 threads race the first boundary_arcs() and
+// estimate_distance() calls on a freshly acquired entry. Every thread must
+// see the one boundary list (the same span pointer) and the answers of
+// the independent references. Every compute team is pinned to one thread,
+// so under TSan the call_once race is what gets checked (libgomp's
+// barriers are uninstrumented and would report on their own).
+TEST(SharedStore, ConcurrentFirstQueriesBuildEachArtifactOnce) {
+  const ScopedNumThreads one(1);
+  const CsrGraph g = generators::grid2d(40, 40);
+  SharedResultStore store((CsrGraph(g)));
+  const DecompositionRequest req = request(0.25);
+  const std::shared_ptr<const MaterializedDecomposition> entry =
+      store.acquire(req).entry;
+  ASSERT_FALSE(entry->distance_oracle_built());
+  const DecompositionResult& result = entry->result();
+  const std::vector<Edge> expected_cut = compute_boundary_edges(g, result);
+  const DistanceOracle oracle(g, Decomposition(result.decomposition));
+
+  constexpr int kThreads = 8;
+  constexpr int kIters = 200;
+  std::vector<const Edge*> seen(kThreads, nullptr);
+  std::atomic<int> arrived{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ScopedNumThreads team(1);
+      const vertex_t n = g.num_vertices();
+      // Line every thread up so the first calls genuinely race; half the
+      // threads start with the oracle, half with the boundary list.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      if (t % 2 == 1 && entry->estimate_distance(0, n - 1) !=
+                            oracle.estimate(0, n - 1)) {
+        ++mismatches;
+      }
+      const std::span<const Edge> cut = entry->boundary_arcs();
+      seen[static_cast<std::size_t>(t)] = cut.data();
+      if (!std::equal(cut.begin(), cut.end(), expected_cut.begin(),
+                      expected_cut.end())) {
+        ++mismatches;
+      }
+      for (int i = 0; i < kIters; ++i) {
+        const auto v = static_cast<vertex_t>((t * 7919 + i * 104729) % n);
+        const auto u = static_cast<vertex_t>((t * 104729 + i * 7919) % n);
+        if (entry->estimate_distance(u, v) != oracle.estimate(u, v)) {
+          ++mismatches;
+        }
+        if (entry->owner_of(v) != result.owner[v]) ++mismatches;
+        if (entry->cluster_of(v) != result.cluster_of(v)) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(entry->distance_oracle_built());
+  for (const Edge* data : seen) EXPECT_EQ(data, entry->boundary_arcs().data());
 }
 
 TEST(SharedStore, MaterializedDecompositionRejectsWeightedDistanceQueries) {

@@ -264,9 +264,7 @@ DecompositionSession open_session(const std::string& path,
   return DecompositionSession(mpx::io::load_graph(path));
 }
 
-void print_result_line(const DecompositionSession& session,
-                       const DecompositionResult& result) {
-  (void)session;
+void print_result_line(const DecompositionResult& result) {
   const mpx::RunTelemetry& t = result.telemetry;
   std::printf("clusters: %u\n", result.num_clusters());
   std::printf(
@@ -319,7 +317,7 @@ int cmd_run(const Cli& cli) {
               cli.request.algorithm.c_str(), cli.request.beta,
               static_cast<unsigned long long>(cli.request.seed));
   const DecompositionResult& result = session.run(cli.request);
-  print_result_line(session, result);
+  print_result_line(result);
   const std::size_t cut = session.boundary_arcs(cli.request).size();
   const mpx::edge_t m = session.num_edges();
   std::printf("boundary: %zu cut edges (%.2f%% of m)\n", cut,
@@ -501,7 +499,7 @@ int cmd_serve(const Cli& cli) {
         stats_clock.seconds() >= cli.stats_interval) {
       stats_clock.reset();
       // Operator-facing liveness dump; stderr so stdout stays parseable.
-      const mpx::server::ServerStats s = server.stats();
+      const mpx::server::StatsResponse s = server.stats();
       std::fprintf(stderr,
                    "stats: %llu requests, %llu connections, %llu errors, "
                    "%llu computed, %.3fs service time\n",
@@ -510,12 +508,12 @@ int cmd_serve(const Cli& cli) {
                    static_cast<unsigned long long>(s.errors),
                    static_cast<unsigned long long>(s.results_computed),
                    s.service_seconds);
-      print_metrics(stderr, server.metrics_snapshot());
+      print_metrics(stderr, s.metrics);
       std::fflush(stderr);
     }
   }
   server.stop();
-  const mpx::server::ServerStats stats = server.stats();
+  const mpx::server::StatsResponse stats = server.stats();
   std::printf(
       "served %llu request%s on %llu connection%s (%llu error%s, "
       "%.3fs total service time)\n",
