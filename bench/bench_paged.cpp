@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "machine.hpp"
 #include "mpx/mpx.hpp"
 #include "storage/paged_graph.hpp"
 #include "table.hpp"
@@ -111,6 +112,7 @@ void write_json(const std::string& path, const std::vector<Run>& runs) {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"paged\",\n");
+  mpx::bench::write_machine_json(f);
   std::fprintf(f, "  \"threads\": %d,\n", mpx::max_threads());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -19,12 +19,17 @@
 //     cold_load_seconds        blocks, docs/FORMATS.md "Version 2"): file
 //     cold_compression_ratio   size, full parallel materialization time,
 //                              and hot/cold size ratio
+//   * cold_decode_us_per_block one serial SnapshotBlockReader::decode_block
+//                              pass over every cold block (checksum
+//                              included), in microseconds per block
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "graph/snapshot_blocks.hpp"
+#include "machine.hpp"
 #include "mpx/mpx.hpp"
 #include "table.hpp"
 
@@ -43,6 +48,7 @@ struct Run {
   double map_sweep_seconds = 0.0;
   double cold_save_seconds = 0.0;
   double cold_load_seconds = 0.0;
+  double cold_decode_us_per_block = 0.0;
 };
 
 /// Full pass over the CSR arrays of a mapped graph, forcing every page
@@ -82,6 +88,9 @@ Run measure(const std::string& name, const mpx::CsrGraph& g,
   run.snapshot_map_seconds = 1e100;
   run.map_sweep_seconds = 1e100;
   run.cold_load_seconds = 1e100;
+  run.cold_decode_us_per_block = 1e100;
+  const mpx::io::SnapshotBlockReader blocks(cold_path);
+  std::vector<mpx::vertex_t> block_buffer(blocks.block_size());
   std::uint64_t sink = 0;
   for (int rep = 0; rep < reps; ++rep) {
     {
@@ -117,6 +126,19 @@ Run measure(const std::string& name, const mpx::CsrGraph& g,
           std::min(run.cold_load_seconds, timer.seconds());
       sink += loaded.num_arcs();
     }
+    {
+      mpx::WallTimer timer;
+      for (std::size_t b = 0; b < blocks.num_blocks(); ++b) {
+        const std::span<mpx::vertex_t> out =
+            std::span(block_buffer).first(blocks.block_arc_count(b));
+        blocks.decode_block(b, out);
+        sink += out.back();
+      }
+      run.cold_decode_us_per_block =
+          std::min(run.cold_decode_us_per_block,
+                   timer.seconds() * 1e6 /
+                       static_cast<double>(blocks.num_blocks()));
+    }
   }
   if (sink == 42) std::printf("(unlikely)\n");
   return run;
@@ -129,6 +151,7 @@ void write_json(const std::string& path, const std::vector<Run>& runs) {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"snapshot\",\n");
+  mpx::bench::write_machine_json(f);
   std::fprintf(f, "  \"threads\": %d,\n", mpx::max_threads());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -141,6 +164,7 @@ void write_json(const std::string& path, const std::vector<Run>& runs) {
         "\"text_load_seconds\": %.6f, \"snapshot_load_seconds\": %.6f, "
         "\"snapshot_map_seconds\": %.6f, \"map_sweep_seconds\": %.6f, "
         "\"cold_save_seconds\": %.6f, \"cold_load_seconds\": %.6f, "
+        "\"cold_decode_us_per_block\": %.3f, "
         "\"cold_compression_ratio\": %.3f, "
         "\"speedup_load_vs_text\": %.3f, \"speedup_map_vs_text\": %.3f}%s\n",
         r.graph.c_str(), r.n, static_cast<unsigned long long>(r.m),
@@ -149,6 +173,7 @@ void write_json(const std::string& path, const std::vector<Run>& runs) {
         static_cast<unsigned long long>(r.cold_bytes),
         r.text_load_seconds, r.snapshot_load_seconds, r.snapshot_map_seconds,
         r.map_sweep_seconds, r.cold_save_seconds, r.cold_load_seconds,
+        r.cold_decode_us_per_block,
         r.cold_bytes > 0
             ? static_cast<double>(r.snapshot_bytes) /
                   static_cast<double>(r.cold_bytes)
@@ -212,7 +237,8 @@ int main(int argc, char** argv) {
 
   std::vector<Run> runs;
   bench::Table table({"graph", "n", "m", "text_s", "load_s", "map_s",
-                      "sweep_s", "cold_s", "cold_x", "load_x", "map_x"});
+                      "sweep_s", "cold_s", "dec_us", "cold_x", "load_x",
+                      "map_x"});
   for (const Family& fam : families) {
     const Run r = measure(fam.name, fam.graph, dir, reps);
     runs.push_back(r);
@@ -223,6 +249,7 @@ int main(int argc, char** argv) {
                bench::Table::num(r.snapshot_map_seconds, 3),
                bench::Table::num(r.map_sweep_seconds, 3),
                bench::Table::num(r.cold_load_seconds, 3),
+               bench::Table::num(r.cold_decode_us_per_block, 1),
                bench::Table::num(static_cast<double>(r.snapshot_bytes) /
                                      static_cast<double>(r.cold_bytes),
                                  2),

@@ -27,7 +27,9 @@ int symbol_of(std::uint64_t value) {
 
 /// Raw payload bits following `sym` (the value's bits minus the implicit
 /// leading one); 0 for literal symbols.
-int payload_bits(int sym) { return sym < 16 ? 0 : (sym - 16 + 5) - 1; }
+constexpr int payload_bits(int sym) {
+  return sym < 16 ? 0 : (sym - 16 + 5) - 1;
+}
 
 // ---------------------------------------------------------------------------
 // MSB-first bitstream
@@ -63,43 +65,56 @@ class BitWriter {
   int nbits_ = 0;
 };
 
-/// Bounded MSB-first bit reader; throws on overrun.
-class BitReader {
+/// Big-endian 64-bit load (GCC and Clang fold it into one load and a byte
+/// swap).
+std::uint64_t load_be64(const unsigned char* p) {
+  return std::uint64_t{p[0]} << 56 | std::uint64_t{p[1]} << 48 |
+         std::uint64_t{p[2]} << 40 | std::uint64_t{p[3]} << 32 |
+         std::uint64_t{p[4]} << 24 | std::uint64_t{p[5]} << 16 |
+         std::uint64_t{p[6]} << 8 | std::uint64_t{p[7]};
+}
+
+/// Bounded MSB-first bit window over the block bitstream. Counts consumed
+/// bits; reads past the end see zero bits, and `overrun()` reports them.
+class BitWindow {
  public:
-  BitReader(const unsigned char* begin, const unsigned char* end)
-      : p_(begin), end_(end) {}
+  BitWindow(const unsigned char* begin, std::size_t bytes)
+      : p_(begin), bytes_(bytes) {}
 
-  std::uint64_t get(int count) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < count; ++i) {
-      v = (v << 1) | get_bit();
+  /// The 64 bits from the read position on, MSB-aligned. At least 57 of
+  /// them are stream bits (zeros past the end), enough for a code and its
+  /// payload bits.
+  [[nodiscard]] std::uint64_t peek() const {
+    const std::size_t byte = static_cast<std::size_t>(pos_ >> 3);
+    std::uint64_t word = 0;
+    if (byte + 8 <= bytes_) [[likely]] {
+      word = load_be64(p_ + byte);
+    } else {
+      for (std::size_t i = byte; i < byte + 8; ++i) {
+        word = (word << 8) | (i < bytes_ ? p_[i] : 0u);
+      }
     }
-    return v;
+    return word << (pos_ & 7);
   }
 
-  std::uint64_t get_bit() {
-    if (nbits_ == 0) {
-      if (p_ == end_) bad("bitstream overruns the block payload");
-      acc_ = *p_++;
-      nbits_ = 8;
-    }
-    --nbits_;
-    return (acc_ >> nbits_) & 1u;
-  }
+  void consume(int bits) { pos_ += static_cast<std::uint64_t>(bits); }
+
+  /// True once more bits were consumed than the stream holds.
+  [[nodiscard]] bool overrun() const { return pos_ > bytes_ * 8; }
 
   /// True iff the stream ends here modulo zero pad bits: at most 7 pad
-  /// bits in the current byte are legal — a whole unconsumed byte would
+  /// bits in the last byte are legal — a whole unconsumed byte would
   /// make the encoding non-canonical, zero or not.
   [[nodiscard]] bool remainder_is_zero_padding() const {
-    if (p_ != end_) return false;
-    return nbits_ == 0 || (acc_ & ((1u << nbits_) - 1u)) == 0;
+    const std::uint64_t rest = bytes_ * 8 - pos_;
+    if (rest >= 8) return false;
+    return rest == 0 || (p_[bytes_ - 1] & ((1u << rest) - 1u)) == 0;
   }
 
  private:
   const unsigned char* p_;
-  const unsigned char* end_;
-  std::uint32_t acc_ = 0;
-  int nbits_ = 0;
+  std::size_t bytes_;
+  std::uint64_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -176,7 +191,7 @@ std::array<std::uint8_t, kBlockAlphabet> code_lengths(
 /// consecutive codes, shorter lengths first. Shared by encoder and
 /// decoder so the table pins the codes completely.
 struct CanonicalCode {
-  // Per symbol: code value (encoder side).
+  // Per symbol: code value.
   std::array<std::uint16_t, kBlockAlphabet> code{};
   std::array<std::uint8_t, kBlockAlphabet> len{};
   // Per length: first canonical code, first index into `order`, count
@@ -226,19 +241,66 @@ CanonicalCode build_canonical(
   return c;
 }
 
-/// Decode one symbol by walking code lengths (canonical decode).
-int decode_symbol(const CanonicalCode& c, BitReader& bits) {
-  std::uint32_t code = 0;
-  for (int l = 1; l <= kBlockMaxCodeLen; ++l) {
-    code = static_cast<std::uint32_t>((code << 1) | bits.get_bit());
-    if (c.count[l] != 0) {
-      const std::uint32_t offset = code - c.first_code[l];
-      if (code >= c.first_code[l] && offset < c.count[l]) {
-        return c.order[c.first_index[l] + offset];
-      }
+/// Code bits resolved by one primary-table lookup; longer codes take the
+/// canonical walk over a kBlockMaxCodeLen-bit peek.
+constexpr int kTableBits = 10;
+
+/// Packed decode of one code: `symbol | total << 6`, where `total` counts
+/// the code's bits plus its raw payload bits (at most 15 + 32). Never 0,
+/// since every code is at least one bit long.
+int pack_code(int sym, int len) {
+  return sym | (len + payload_bits(sym)) << 6;
+}
+
+/// How a symbol rebuilds its delta value from the arc's bits (code, then
+/// payload, right-aligned): `base | (bits & mask)`. A literal is its own
+/// base under an empty mask; a length symbol's base is the implicit
+/// leading one above its payload bits.
+struct ValueRule {
+  std::uint64_t base;
+  std::uint64_t mask;
+};
+
+constexpr std::array<ValueRule, kBlockAlphabet> kValueRules = [] {
+  std::array<ValueRule, kBlockAlphabet> rules{};
+  for (int s = 0; s < kBlockAlphabet; ++s) {
+    const std::uint64_t lead = std::uint64_t{1} << payload_bits(s);
+    rules[static_cast<std::size_t>(s)] =
+        s < 16 ? ValueRule{static_cast<std::uint64_t>(s), 0}
+               : ValueRule{lead, lead - 1};
+  }
+  return rules;
+}();
+
+/// Primary decode table: indexed by the next kTableBits stream bits, each
+/// entry holds the packed decode of the code they start with, or 0 when
+/// that code is longer than kTableBits (or no code matches).
+using DecodeTable = std::array<std::uint16_t, std::size_t{1} << kTableBits>;
+
+void fill_decode_table(const CanonicalCode& c, DecodeTable& table) {
+  table.fill(0);
+  for (int s = 0; s < kBlockAlphabet; ++s) {
+    const int l = c.len[s];
+    if (l == 0 || l > kTableBits) continue;
+    const std::size_t first = std::size_t{c.code[s]} << (kTableBits - l);
+    std::fill_n(table.begin() + static_cast<std::ptrdiff_t>(first),
+                std::size_t{1} << (kTableBits - l),
+                static_cast<std::uint16_t>(pack_code(s, l)));
+  }
+}
+
+/// Canonical walk for the codes longer than kTableBits: `peek` holds the
+/// next kBlockMaxCodeLen stream bits. Returns the packed decode, or 0 when
+/// no code matches.
+int decode_long_code(const CanonicalCode& c, std::uint32_t peek) {
+  for (int l = kTableBits + 1; l <= kBlockMaxCodeLen; ++l) {
+    const std::uint32_t code = peek >> (kBlockMaxCodeLen - l);
+    const std::uint32_t offset = code - c.first_code[l];
+    if (code >= c.first_code[l] && offset < c.count[l]) {
+      return pack_code(c.order[c.first_index[l] + offset], l);
     }
   }
-  bad("bit pattern matches no code");
+  return 0;
 }
 
 /// Vertex owning arc `arc` (binary search; offsets is monotone with
@@ -362,32 +424,54 @@ void decode_target_block(std::span<const edge_t> offsets, edge_t arc_begin,
   }
   if ((payload[22] >> 4) != 0) bad("nonzero pad nibble in the code table");
   const CanonicalCode canon = build_canonical(lengths);
-  BitReader bits(payload.data() + kBlockTableBytes,
-                 payload.data() + payload.size());
+  DecodeTable table;
+  fill_decode_table(canon, table);
+  BitWindow bits(payload.data() + kBlockTableBytes,
+                 payload.size() - kBlockTableBytes);
+  // Run starts are tracked by the next one's arc; the previous target
+  // stays in a register (the payload bytes may alias `out`).
+  const edge_t* const offs = offsets.data();
   std::size_t v = owner_of_arc(offsets, arc_begin);
-  for (edge_t i = arc_begin + 1; i < arc_begin + entry.count; ++i) {
-    while (offsets[v + 1] <= i) ++v;
-    const int sym = decode_symbol(canon, bits);
-    std::uint64_t value;
-    if (sym < 16) {
-      value = static_cast<std::uint64_t>(sym);
-    } else {
-      const int extra = payload_bits(sym);
-      value = (std::uint64_t{1} << extra) | bits.get(extra);
+  edge_t next_run = offs[v + 1];
+  const auto n = static_cast<std::int64_t>(num_vertices);
+  std::int64_t prev = entry.first_target;
+  std::uint64_t window = bits.peek();
+  int code = table[window >> (64 - kTableBits)];
+  for (std::uint32_t j = 1; j < entry.count; ++j) {
+    const edge_t arc = arc_begin + j;
+    if (code == 0) {
+      code = decode_long_code(
+          canon, static_cast<std::uint32_t>(window >> (64 - kBlockMaxCodeLen)));
+      if (code == 0) {
+        // A bit-at-a-time reader runs out of stream first when fewer than
+        // kBlockMaxCodeLen bits are left.
+        bits.consume(kBlockMaxCodeLen);
+        bad(bits.overrun() ? "bitstream overruns the block payload"
+                           : "bit pattern matches no code");
+      }
     }
-    const auto prev =
-        static_cast<std::int64_t>(out[static_cast<std::size_t>(i - arc_begin) - 1]);
+    const int total = code >> 6;
+    const ValueRule rule = kValueRules[static_cast<std::size_t>(code & 0x3F)];
+    const std::uint64_t value =
+        rule.base | ((window >> (64 - total)) & rule.mask);
+    bits.consume(total);
+    if (bits.overrun()) bad("bitstream overruns the block payload");
+    // The next primary lookup reads the old window: it held >= 57 stream
+    // bits and this arc took <= 47, so its next 10 bits are already
+    // there. That keeps the reload below off the lookup's critical path.
+    code = table[(window << total) >> (64 - kTableBits)];
+    window = bits.peek();
     std::int64_t target;
-    if (i == offsets[v]) {
+    if (arc == next_run) {
       target = prev + zigzag_decode(value);
+      while (offs[v + 1] <= arc) ++v;
+      next_run = offs[v + 1];
     } else {
       target = prev + static_cast<std::int64_t>(value) + 1;
     }
-    if (target < 0 || target >= static_cast<std::int64_t>(num_vertices)) {
-      bad("decoded target out of range");
-    }
-    out[static_cast<std::size_t>(i - arc_begin)] =
-        static_cast<vertex_t>(target);
+    if (target < 0 || target >= n) bad("decoded target out of range");
+    out[j] = static_cast<vertex_t>(target);
+    prev = target;
   }
   if (!bits.remainder_is_zero_padding()) {
     bad("trailing bytes or nonzero padding after the last symbol");

@@ -34,10 +34,28 @@
 /// 23-byte table at the start of the block payload; an MSB-first bitstream
 /// of the `count - 1` coded values follows, zero-padded to a whole byte.
 ///
+/// ## Decoding
+///
+/// The decoder is table-driven. The block's code lengths build one
+/// primary lookup table of 2^10 entries, each naming the symbol a 10-bit
+/// prefix starts with and the bits its code plus payload take. The
+/// bitstream is read through a 64-bit MSB-first window: one refill per
+/// arc yields the code and its <= 32 payload bits together (whole-word
+/// loads while 8 bytes remain, then the tail byte by byte, zeros past the
+/// end). Codes longer than 10 bits miss the table and take a canonical
+/// walk over a 15-bit peek. The window counts consumed bits, so every
+/// rejection lands on the same arc as in a bit-at-a-time reading of the
+/// spec.
+///
 /// Every decoder entry point rejects malformed input (overlong reads,
 /// invalid code tables, out-of-range targets, trailing garbage) with
-/// `std::runtime_error` — never UB, never abort — and is exercised by
-/// `tests/test_snapshot_v2.cpp` and the fuzz sweeps in `tests/test_fuzz.cpp`.
+/// `std::runtime_error` — never UB, never abort. `tests/test_snapshot_v2.cpp`
+/// pins the edge cases (long codes, sub-word streams, byte-exact endings,
+/// every truncation and extension). The file-level fuzz sweeps in
+/// `tests/test_fuzz.cpp` mostly stop at the per-block checksum, so the
+/// codec is fuzzed directly there too: mutated payloads go straight to
+/// `decode_target_block` and must match a bit-serial reference decoder
+/// on accept vs reject and on the output.
 #pragma once
 
 #include <cstddef>

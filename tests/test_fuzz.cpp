@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,7 +20,9 @@
 #include "bfs/sequential_bfs.hpp"
 #include "bfs/parallel_bfs.hpp"
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "graph/snapshot_codec.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/scan.hpp"
@@ -214,6 +218,187 @@ TEST_P(FuzzCase, SnapshotReadersThrowOrSucceedOnMutatedBytes) {
     probe([&] { (void)io::load_snapshot(path); });
     probe([&] { (void)io::load_weighted_snapshot(path); });
     probe([&] { (void)io::map_snapshot(path); });
+  }
+}
+
+/// Bit-at-a-time cold-block decoder transcribed from docs/FORMATS.md
+/// "Cold tier encoding": the differential oracle for the codec's
+/// table-driven decoder. Returns nullopt wherever the spec says a decoder
+/// must reject the block.
+std::optional<std::vector<vertex_t>> reference_decode_block(
+    std::span<const edge_t> offsets, edge_t arc_begin,
+    const io::codec::BlockIndexEntry& entry,
+    std::span<const unsigned char> payload, vertex_t n) {
+  if (entry.count == 0 || entry.first_target >= n) return std::nullopt;
+  std::vector<vertex_t> out = {entry.first_target};
+  if (entry.count == 1) {
+    if (!payload.empty()) return std::nullopt;
+    return out;
+  }
+  // 23-byte table: 45 code lengths, low nibble first, a zero 46th nibble.
+  if (payload.size() < 23 || (payload[22] >> 4) != 0) return std::nullopt;
+  int len[45];
+  std::uint64_t kraft = 0;
+  for (int s = 0; s < 45; ++s) {
+    len[s] = (payload[s / 2] >> (4 * (s % 2))) & 0xF;
+    if (len[s] != 0) kraft += std::uint64_t{1} << (15 - len[s]);
+  }
+  if (kraft > (std::uint64_t{1} << 15)) return std::nullopt;
+  // Canonical codes: by (length, symbol), consecutive within a length.
+  std::uint32_t code[45] = {};
+  std::uint32_t next = 0;
+  for (int l = 1; l <= 15; ++l) {
+    for (int s = 0; s < 45; ++s) {
+      if (len[s] == l) code[s] = next++;
+    }
+    next <<= 1;
+  }
+  std::size_t bit = 23 * 8;
+  const std::size_t end_bit = payload.size() * 8;
+  const auto read_bit = [&](std::uint32_t& b) {
+    if (bit == end_bit) return false;
+    b = (payload[bit / 8] >> (7 - bit % 8)) & 1u;
+    ++bit;
+    return true;
+  };
+  std::int64_t prev = entry.first_target;
+  for (edge_t arc = arc_begin + 1; arc < arc_begin + entry.count; ++arc) {
+    std::uint32_t acc = 0;
+    int sym = -1;
+    for (int l = 1; l <= 15 && sym < 0; ++l) {
+      std::uint32_t b = 0;
+      if (!read_bit(b)) return std::nullopt;
+      acc = acc << 1 | b;
+      for (int s = 0; s < 45; ++s) {
+        if (len[s] == l && code[s] == acc) sym = s;
+      }
+    }
+    if (sym < 0) return std::nullopt;
+    // Symbol 16 + k: a (5 + k)-bit value, its leading one implicit.
+    std::uint64_t value = static_cast<std::uint64_t>(sym);
+    if (sym >= 16) {
+      value = 1;
+      for (int k = 0; k < sym - 16 + 4; ++k) {
+        std::uint32_t b = 0;
+        if (!read_bit(b)) return std::nullopt;
+        value = value << 1 | b;
+      }
+    }
+    const bool run_start =
+        std::binary_search(offsets.begin(), offsets.end(), arc);
+    const std::int64_t target =
+        run_start ? prev + (static_cast<std::int64_t>(value >> 1) ^
+                            -static_cast<std::int64_t>(value & 1))
+                  : prev + static_cast<std::int64_t>(value) + 1;
+    if (target < 0 || target >= static_cast<std::int64_t>(n)) {
+      return std::nullopt;
+    }
+    out.push_back(static_cast<vertex_t>(target));
+    prev = target;
+  }
+  // Zero padding to the byte boundary, no whole unconsumed byte.
+  if (end_bit - bit >= 8) return std::nullopt;
+  for (std::uint32_t b = 0; read_bit(b);) {
+    if (b != 0) return std::nullopt;
+  }
+  return out;
+}
+
+TEST_P(FuzzCase, ColdBlockDecoderMatchesBitSerialReference) {
+  // Codec-level fuzzing below the per-block checksum: encode blocks of
+  // grid, rmat and random graphs, mutate their payloads (bit flips,
+  // truncation, extension, code-table nibble edits) and decode them
+  // directly. Each decode must throw std::runtime_error or return targets
+  // in [0, n), and must agree with the bit-serial reference on accept vs
+  // reject and on the output. Payloads sit in heap buffers of exactly
+  // their size, so the sanitizer build sees any over-read.
+  Xoshiro256pp rng(GetParam() ^ 0xc01d);
+  const CsrGraph graphs[] = {
+      generators::grid2d(20 + static_cast<vertex_t>(rng.next_below(40)),
+                         20 + static_cast<vertex_t>(rng.next_below(40))),
+      generators::rmat(9 + static_cast<unsigned>(rng.next_below(3)), 8.0,
+                       rng()),
+      mpx::testing::random_graph(rng, 3000)};
+  const std::uint32_t block_sizes[] = {2, 3, 7, 64, 4096};
+  for (const CsrGraph& g : graphs) {
+    const auto offsets = g.offsets();
+    const edge_t m = g.num_arcs();
+    if (m == 0) continue;
+    for (const std::uint32_t block_size : block_sizes) {
+      const edge_t blocks = (m + block_size - 1) / block_size;
+      for (int pick = 0; pick < 6; ++pick) {
+        const edge_t arc_begin = rng.next_below(blocks) * block_size;
+        const auto count = static_cast<std::uint32_t>(
+            std::min<edge_t>(block_size, m - arc_begin));
+        std::vector<unsigned char> payload;
+        io::codec::BlockIndexEntry entry{};
+        io::codec::encode_target_block(offsets, g.targets(), arc_begin, count,
+                                       payload, entry);
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<unsigned char> bytes = payload;
+          const std::size_t mutations = trial == 0 ? 0 : 1 + rng.next_below(3);
+          for (std::size_t i = 0; i < mutations; ++i) {
+            const std::uint64_t kind = bytes.empty() ? 3 : rng.next_below(5);
+            if (kind == 0) {  // bit flip anywhere
+              bytes[rng.next_below(bytes.size())] ^=
+                  static_cast<unsigned char>(1u << rng.next_below(8));
+            } else if (kind == 1 && bytes.size() > 23) {  // flip in stream
+              bytes[23 + rng.next_below(bytes.size() - 23)] ^=
+                  static_cast<unsigned char>(1u << rng.next_below(8));
+            } else if (kind == 2) {  // truncation, half of them near the end
+              const std::size_t near_end =
+                  1 + rng.next_below(std::min<std::size_t>(bytes.size(), 8));
+              const std::size_t cut = rng.next_below(2) == 0
+                                          ? rng.next_below(bytes.size() + 1)
+                                          : near_end;
+              bytes.resize(bytes.size() - cut);
+            } else if (kind == 3) {  // extension
+              for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k) {
+                const auto junk =
+                    static_cast<unsigned char>(rng.next_below(256));
+                bytes.push_back(rng.next_below(2) == 0 ? 0 : junk);
+              }
+            } else {  // code-table nibble edit
+              const std::uint64_t nibble = rng.next_below(46);
+              if (nibble / 2 >= bytes.size()) continue;
+              const int shift = 4 * static_cast<int>(nibble % 2);
+              unsigned char& byte = bytes[nibble / 2];
+              byte = static_cast<unsigned char>(
+                  (byte & ~(0xF << shift)) | (rng.next_below(16) << shift));
+            }
+          }
+          io::codec::BlockIndexEntry mutated = entry;
+          mutated.byte_len = static_cast<std::uint32_t>(bytes.size());
+          const auto exact = std::make_unique<unsigned char[]>(bytes.size());
+          std::copy(bytes.begin(), bytes.end(), exact.get());
+          const std::span<const unsigned char> view{exact.get(), bytes.size()};
+
+          std::optional<std::vector<vertex_t>> got;
+          try {
+            std::vector<vertex_t> out(count);
+            io::codec::decode_target_block(offsets, arc_begin, mutated, view,
+                                           g.num_vertices(), out);
+            got = std::move(out);
+          } catch (const std::runtime_error&) {
+            // Rejection; the reference must reject too.
+          }
+          const auto want = reference_decode_block(offsets, arc_begin, mutated,
+                                                   view, g.num_vertices());
+          ASSERT_EQ(got.has_value(), want.has_value())
+              << "n=" << g.num_vertices() << " block_size=" << block_size
+              << " arc_begin=" << arc_begin << " trial=" << trial;
+          if (!got) continue;
+          ASSERT_EQ(*got, *want) << "block_size=" << block_size
+                                 << " arc_begin=" << arc_begin;
+          for (const vertex_t t : *got) ASSERT_LT(t, g.num_vertices());
+          if (trial == 0) {
+            ASSERT_TRUE(std::equal(got->begin(), got->end(),
+                                   g.targets().begin() +
+                                       static_cast<std::ptrdiff_t>(arc_begin)));
+          }
+        }
+      }
+    }
   }
 }
 

@@ -12,10 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/partition.hpp"
@@ -23,6 +26,7 @@
 #include "graph/snapshot.hpp"
 #include "graph/snapshot_blocks.hpp"
 #include "parallel/thread_env.hpp"
+#include "support/random.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/golden.hpp"
 #include "tests/support/property.hpp"
@@ -771,6 +775,161 @@ TEST(SnapshotV2Codec, DecoderRejectsTruncatedAndPaddedPayloads) {
   EXPECT_THROW(
       io::codec::decode_target_block(offsets, 0, entry, payload, 9, out),
       std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Decoder edge cases: long codes, short bitstreams, byte-exact endings
+// ---------------------------------------------------------------------------
+
+/// One cold block over a single ascending adjacency run, built from the
+/// delta values it codes: arc 0 targets vertex 0 and every later arc adds
+/// `value + 1`.
+struct RunBlock {
+  std::vector<std::uint64_t> values;
+  std::vector<edge_t> offsets;
+  std::vector<vertex_t> targets;
+  vertex_t n = 0;
+  std::vector<unsigned char> payload;
+  io::codec::BlockIndexEntry entry{};
+};
+
+RunBlock encode_run(std::vector<std::uint64_t> values) {
+  RunBlock b;
+  b.values = std::move(values);
+  b.targets.push_back(0);
+  for (const std::uint64_t v : b.values) {
+    b.targets.push_back(static_cast<vertex_t>(b.targets.back() + v + 1));
+  }
+  b.n = b.targets.back() + 1;
+  b.offsets = {0, b.targets.size()};
+  io::codec::encode_target_block(b.offsets, b.targets, 0,
+                                 static_cast<std::uint32_t>(b.targets.size()),
+                                 b.payload, b.entry);
+  return b;
+}
+
+/// Code length of `sym` in the block's code table.
+int code_length(const RunBlock& b, int sym) {
+  return (b.payload[static_cast<std::size_t>(sym) / 2] >> (4 * (sym % 2))) &
+         0xF;
+}
+
+/// Bits of the block's bitstream (docs/FORMATS.md "Cold tier encoding"):
+/// per value its code plus, for a value of `k >= 5` bits, `k - 1` raw bits.
+std::size_t stream_bits(const RunBlock& b) {
+  std::size_t bits = 0;
+  for (const std::uint64_t v : b.values) {
+    const int width = static_cast<int>(std::bit_width(v));
+    bits += width <= 4 ? code_length(b, static_cast<int>(v))
+                       : code_length(b, 16 + width - 5) + width - 1;
+  }
+  return bits;
+}
+
+/// Decodes `bytes` as the block's payload from a heap buffer of exactly
+/// that size, so the sanitizer build sees any read past it.
+std::vector<vertex_t> decode_exact(const RunBlock& b,
+                                   std::span<const unsigned char> bytes) {
+  const auto exact = std::make_unique<unsigned char[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), exact.get());
+  io::codec::BlockIndexEntry entry = b.entry;
+  entry.byte_len = static_cast<std::uint32_t>(bytes.size());
+  std::vector<vertex_t> out(entry.count);
+  io::codec::decode_target_block(b.offsets, 0, entry,
+                                 {exact.get(), bytes.size()}, b.n, out);
+  return out;
+}
+
+/// The block decodes back to its targets, and every truncation point and
+/// every one-byte extension of its payload is rejected.
+void expect_round_trip_and_exact_framing(const RunBlock& b) {
+  ASSERT_EQ(b.entry.byte_len, b.payload.size());
+  EXPECT_EQ(decode_exact(b, b.payload), b.targets);
+  for (std::size_t len = 0; len < b.payload.size(); ++len) {
+    EXPECT_THROW(
+        (void)decode_exact(b, std::span(b.payload).first(len)),
+        std::runtime_error)
+        << "truncated to " << len << " of " << b.payload.size() << " bytes";
+  }
+  std::vector<unsigned char> longer = b.payload;
+  longer.push_back(0);
+  for (int extra = 0; extra < 256; ++extra) {
+    longer.back() = static_cast<unsigned char>(extra);
+    EXPECT_THROW((void)decode_exact(b, longer), std::runtime_error)
+        << "extended by byte " << extra;
+  }
+}
+
+TEST(SnapshotV2Codec, LongCodesFromFibonacciFrequenciesRoundTrip) {
+  // Literal values 0..15 with Fibonacci frequencies make the Huffman tree
+  // a path, so the code table holds 11..15-bit codes and the decoder's
+  // walk past its primary lookup table runs.
+  std::vector<std::uint64_t> values;
+  std::uint64_t f0 = 1;
+  std::uint64_t f1 = 1;
+  for (std::uint64_t v = 0; v < 16; ++v) {
+    values.insert(values.end(), f0, v);
+    f0 = std::exchange(f1, f0 + f1);
+  }
+  Xoshiro256pp rng(2013);
+  for (std::size_t i = values.size() - 1; i > 0; --i) {
+    std::swap(values[i], values[rng.next_below(i + 1)]);
+  }
+  const RunBlock b = encode_run(values);
+  int longest = 0;
+  for (int sym = 0; sym < 16; ++sym) {
+    longest = std::max(longest, code_length(b, sym));
+  }
+  EXPECT_EQ(longest, io::codec::kBlockMaxCodeLen);
+  EXPECT_EQ((stream_bits(b) + 7) / 8, b.payload.size() - 23);
+  expect_round_trip_and_exact_framing(b);
+}
+
+TEST(SnapshotV2Codec, BitstreamsShorterThanAWordRoundTrip) {
+  // Bitstreams of 1..7 bytes never allow a whole-word load, so every
+  // window comes from the zero-filled tail path.
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {0},
+      {15},
+      {16},
+      {1u << 20},
+      {3, 1u << 31},
+      {0, 1, 2, 3, 4, 5, 6},
+      {100, 7, 100, 7, 100},
+      {0xFFFFFFFDu},
+  };
+  for (const auto& values : cases) {
+    const RunBlock b = encode_run(values);
+    const std::size_t stream_bytes = b.payload.size() - 23;
+    ASSERT_GE(stream_bytes, 1u);
+    ASSERT_LT(stream_bytes, 8u);
+    expect_round_trip_and_exact_framing(b);
+  }
+}
+
+TEST(SnapshotV2Codec, LastSymbolEndingOnTheFinalByteRoundTrips) {
+  // No padding bits: the last symbol's final bit is the last payload bit,
+  // so the decoder's consumed-bit count must land on the end exactly.
+  // The fixed cases end on a byte, and on a word boundary (64 one-bit
+  // codes); the seeded ones add mixed alphabets found by search.
+  std::vector<std::vector<std::uint64_t>> cases = {
+      std::vector<std::uint64_t>(8, 0),
+      std::vector<std::uint64_t>(64, 0),
+      std::vector<std::uint64_t>(8, 16),
+      std::vector<std::uint64_t>(72, 9),
+  };
+  Xoshiro256pp rng(1307);
+  const std::uint64_t pool[] = {0, 1, 5, 15, 16, 31, 1000, 1u << 20};
+  while (cases.size() < 24) {
+    std::vector<std::uint64_t> values(1 + rng.next_below(40));
+    for (auto& v : values) v = pool[rng.next_below(8)];
+    if (stream_bits(encode_run(values)) % 8 == 0) cases.push_back(values);
+  }
+  for (const auto& values : cases) {
+    const RunBlock b = encode_run(values);
+    ASSERT_EQ(stream_bits(b), 8 * (b.payload.size() - 23));
+    expect_round_trip_and_exact_framing(b);
+  }
 }
 
 }  // namespace
