@@ -13,6 +13,7 @@
 // JSON format (one object):
 //   {
 //     "bench": "frontier",
+//     "machine": {...},            // bench/machine.hpp record
 //     "threads": <int>,            // OpenMP threads used
 //     "beta": <double>, "seed": <int>,
 //     "results": [                 // one entry per graph x engine
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "graph_input.hpp"
+#include "machine.hpp"
 #include "mpx/mpx.hpp"
 #include "table.hpp"
 
@@ -85,6 +87,7 @@ void write_json(const std::string& path, const std::vector<Run>& runs,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"frontier\",\n");
+  mpx::bench::write_machine_json(f);
   std::fprintf(f, "  \"threads\": %d,\n", mpx::max_threads());
   std::fprintf(f, "  \"beta\": %g,\n  \"seed\": %llu,\n", beta,
                static_cast<unsigned long long>(seed));

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "machine.hpp"
 #include "mpx/mpx.hpp"
 #include "parallel/sort.hpp"
 #include "table.hpp"
@@ -106,6 +107,7 @@ void write_json(const std::string& path, mpx::vertex_t n,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"shifts\",\n");
+  mpx::bench::write_machine_json(f);
   std::fprintf(f, "  \"threads\": %d,\n  \"n\": %u,\n", mpx::max_threads(), n);
   std::fprintf(f, "  \"ablation\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -468,8 +468,10 @@ std::vector<edge_t> verify_cold_shallow(const detail::SnapshotFileView& view,
       static_cast<std::size_t>(h.block_index_bytes /
                                sizeof(codec::BlockIndexEntry));
   std::vector<codec::BlockIndexEntry> index(num_blocks);
-  std::memcpy(index.data(), base + h.block_index_offset,
-              h.block_index_bytes);
+  if (!index.empty()) {  // an empty vector's data() may be null
+    std::memcpy(index.data(), base + h.block_index_offset,
+                h.block_index_bytes);
+  }
   detail::validate_block_index(h, index, path);
   // Codec errors carry their own precise reason; let them propagate.
   return codec::decode_degree_section(

@@ -29,8 +29,10 @@ SnapshotBlockReader::SnapshotBlockReader(const std::string& path)
   }
   index_.resize(static_cast<std::size_t>(header_.block_index_bytes /
                                          sizeof(codec::BlockIndexEntry)));
-  std::memcpy(index_.data(), base + header_.block_index_offset,
-              header_.block_index_bytes);
+  if (!index_.empty()) {  // an empty vector's data() may be null
+    std::memcpy(index_.data(), base + header_.block_index_offset,
+                header_.block_index_bytes);
+  }
   detail::validate_block_index(header_, index_, path);
 
   // Offsets are resident: the varint degree stream is checksummed and

@@ -13,11 +13,6 @@
 /// and the wire: the server encodes snapshots into kStatsResponse
 /// (server/protocol.hpp) and a client decodes them back into the same
 /// type, so p50/p90/p99/max extraction is written once here.
-///
-/// Compile with -DMPX_OBS_DISABLE to compile recording out entirely (the
-/// registry and snapshot machinery remain, all counts read zero); the
-/// runtime equivalent is `ServerConfig::metrics_enabled = false`, which
-/// skips the clock reads feeding the histograms.
 #pragma once
 
 #include <array>
@@ -178,11 +173,7 @@ struct MetricsSnapshot {
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-#if !defined(MPX_OBS_DISABLE)
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -196,18 +187,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#if !defined(MPX_OBS_DISABLE)
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t delta) noexcept {
-#if !defined(MPX_OBS_DISABLE)
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   [[nodiscard]] std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -227,7 +210,6 @@ class LatencyHistogram {
  public:
   /// Record one value (nanoseconds by repo convention).
   void record(std::uint64_t value) noexcept {
-#if !defined(MPX_OBS_DISABLE)
     buckets_[histogram_bucket_index(value)].fetch_add(
         1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -236,9 +218,6 @@ class LatencyHistogram {
     while (value > seen && !max_.compare_exchange_weak(
                                seen, value, std::memory_order_relaxed)) {
     }
-#else
-    (void)value;
-#endif
   }
 
   /// Record a duration given in seconds (negative clamps to zero).

@@ -145,7 +145,9 @@ constexpr std::size_t kReadBufferBytes = 1u << 16;
 void DecompClient::Impl::take_or_fail(std::uint8_t* into, std::size_t want) {
   const std::size_t buffered = rdlen - rdpos;
   const std::size_t from_buffer = std::min(want, buffered);
-  std::memcpy(into, rdbuf.data() + rdpos, from_buffer);
+  if (from_buffer != 0) {  // an unread buffer's data() may be null
+    std::memcpy(into, rdbuf.data() + rdpos, from_buffer);
+  }
   rdpos += from_buffer;
   into += from_buffer;
   want -= from_buffer;

@@ -361,24 +361,6 @@ std::vector<std::uint8_t> encode_payload(const QueryRequest& msg) {
   return out;
 }
 
-QueryTail decode_query_request_tail(std::span<const std::uint8_t> payload) {
-  if (payload.size() < kQueryRequestTailBytes) {
-    fail("query payload of " + std::to_string(payload.size()) +
-         " bytes is shorter than the fixed kind/u/v tail");
-  }
-  const std::uint8_t* tail_bytes =
-      payload.data() + payload.size() - kQueryRequestTailBytes;
-  const std::uint8_t kind = tail_bytes[0];
-  if (kind > static_cast<std::uint8_t>(QueryKind::kDistance)) {
-    fail("query kind " + std::to_string(kind) + " out of range");
-  }
-  QueryTail tail;
-  tail.kind = static_cast<QueryKind>(kind);
-  std::memcpy(&tail.u, tail_bytes + 1, sizeof(tail.u));
-  std::memcpy(&tail.v, tail_bytes + 1 + sizeof(tail.u), sizeof(tail.v));
-  return tail;
-}
-
 QueryRequest decode_query_request(std::span<const std::uint8_t> payload) {
   Reader r(payload);
   QueryRequest msg;

@@ -387,27 +387,6 @@ void encode_query_request_frame_into(std::vector<std::uint8_t>& frame,
 void encode_query_response_frame_into(std::vector<std::uint8_t>& frame,
                                       const QueryResponse& msg);
 
-/// The kQueryRequest payload is `[request][kind:u8][u:u32][v:u32]`: a
-/// variable-length DecompositionRequest encoding followed by this fixed
-/// tail. The request encoding is deterministic, so two well-formed query
-/// payloads of equal length whose bytes match everywhere before the tail
-/// carry the same DecompositionRequest — a server can memoize the decoded
-/// request per connection and re-read only the tail of repeat queries.
-inline constexpr std::size_t kQueryRequestTailBytes = 9;
-
-/// The fixed tail of a query-request payload.
-struct QueryTail {
-  QueryKind kind = QueryKind::kClusterOf;
-  vertex_t u = 0;
-  vertex_t v = 0;
-};
-
-/// Decode just the fixed tail of a kQueryRequest payload. Throws
-/// ProtocolError when the payload is shorter than the tail or the kind
-/// byte is out of range (matching decode_query_request's contract).
-[[nodiscard]] QueryTail decode_query_request_tail(
-    std::span<const std::uint8_t> payload);
-
 // --- zero-copy framing ----------------------------------------------------
 
 /// A frame encoded as an ordered chunk sequence instead of one contiguous

@@ -107,16 +107,12 @@ struct Connection {
     std::shared_ptr<const MaterializedDecomposition> keepalive;
     std::size_t chunk = 0;
     std::size_t offset = 0;
-    /// Enqueue instant (steady ns), 0 when observability is off; feeds
-    /// the server.response_write histogram / trace span at retirement.
+    /// Enqueue instant (steady ns); feeds the server.response_write
+    /// histogram / trace span at retirement.
     std::uint64_t enqueued_ns = 0;
   };
   std::deque<Outbound> outbox;  ///< responses in request order
   std::size_t outbox_bytes = 0;
-  /// Recycled small-frame buffers (owned-only, single chunk): flush()
-  /// returns retired frames here and the query hot path reuses them, so
-  /// steady-state point queries respond without allocating.
-  std::vector<EncodedFrame> frame_pool;
   /// Hot-path memo: the store entry the last run/query on this
   /// connection resolved, keyed by its request. Point queries that
   /// repeat the request (the dominant serving pattern) skip the store's
@@ -125,16 +121,6 @@ struct Connection {
   /// at the cost of pinning at most one entry per connection.
   DecompositionRequest memo_request;
   std::shared_ptr<const MaterializedDecomposition> memo_entry;
-  /// Byte-level fast path over the memo: the exact payload bytes of the
-  /// last kQueryRequest that populated memo_entry. The query encoding is
-  /// deterministic and ends in a fixed kind/u/v tail, so a repeat whose
-  /// bytes match everywhere before the tail carries the same request —
-  /// its decode, validation and store lookup all still stand. Cleared
-  /// whenever memo_entry is repopulated by a non-query handler.
-  std::vector<std::uint8_t> memo_payload;
-  /// Whether memo_request's algorithm supports kDistance (unweighted) —
-  /// saves the registry lookup on memoized distance queries.
-  bool memo_distance_ok = true;
   /// Last instant a write made progress while the outbox was non-empty
   /// (the write-timeout clock).
   std::chrono::steady_clock::time_point write_stalled_since{};
@@ -143,9 +129,8 @@ struct Connection {
   /// after any earlier in-order responses — the protocol's error
   /// resynchronization rule.
   bool close_after_flush = false;
-  /// Instant (steady ns) this connection entered the ready queue, 0 when
-  /// observability is off; feeds the server.queue_wait histogram / trace
-  /// span when a worker claims it.
+  /// Instant (steady ns) this connection entered the ready queue; feeds
+  /// the server.queue_wait histogram / trace span when a worker claims it.
   std::uint64_t ready_since_ns = 0;
 };
 
@@ -155,37 +140,6 @@ enum class Disposition : std::uint8_t {
   kRequeue,  ///< complete frames still buffered: straight back to ready
   kPark,     ///< hand back to the dispatcher's poll set
 };
-
-/// Return a retired outbound frame's buffer to the connection's pool so
-/// the next small response reuses it. Only plain frames qualify: owned
-/// single-buffer, no keepalive, and a capacity worth keeping.
-void recycle_frame(Connection& conn, Connection::Outbound&& done) {
-  constexpr std::size_t kPoolFrames = 4;
-  constexpr std::size_t kPoolFrameCapBytes = 4096;
-  if (done.keepalive != nullptr) return;
-  EncodedFrame& frame = done.frame;
-  if (frame.owned.size() != 1 ||
-      frame.owned[0].capacity() > kPoolFrameCapBytes ||
-      conn.frame_pool.size() >= kPoolFrames) {
-    return;
-  }
-  frame.chunks.clear();
-  frame.owned[0].clear();
-  conn.frame_pool.push_back(std::move(frame));
-}
-
-/// A frame buffer for a small response: pooled when available, with one
-/// owned buffer ready to encode into (chunks left for the caller).
-[[nodiscard]] EncodedFrame take_pooled_frame(Connection& conn) {
-  EncodedFrame frame;
-  if (!conn.frame_pool.empty()) {
-    frame = std::move(conn.frame_pool.back());
-    conn.frame_pool.pop_back();
-  } else {
-    frame.owned.emplace_back();
-  }
-  return frame;
-}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -327,7 +281,6 @@ struct DecompServer::Impl {
   /// registered once in start() (below); the serving path records through
   /// the cached pointers lock-free.
   obs::MetricsRegistry metrics;
-  bool metrics_on = true;  ///< config.metrics_enabled, cached for the hot path
   /// Per-request-type service latency, indexed by service_slot().
   obs::LatencyHistogram* h_service[6] = {};
   obs::LatencyHistogram* h_queue_wait = nullptr;      ///< ready → claimed
@@ -380,8 +333,6 @@ struct DecompServer::Impl {
       out.cache_resident_blocks = cache.resident_blocks;
       out.cache_resident_bytes = cache.resident_bytes;
     }
-    // Registry sections ride along (empty registry when metrics are off —
-    // the fixed counters above stay live either way).
     refresh_gauges();
     out.metrics = metrics.snapshot();
     return out;
@@ -407,9 +358,13 @@ struct DecompServer::Impl {
   void handle_frame(Connection& conn, const FrameHeader& header,
                     std::span<const std::uint8_t> payload,
                     std::uint32_t worker_id);
-  /// Record the response_write observation for a fully flushed frame,
-  /// then recycle its buffer.
-  void retire_frame(Connection& conn, Connection::Outbound&& done);
+  /// Point the connection's entry memo at `request`'s store entry,
+  /// acquiring it unless the memo already holds that request: a client
+  /// repeating one request skips the store's mutex and map.
+  void memoize_entry(Connection& conn, const DecompositionRequest& request,
+                     std::uint32_t worker_id);
+  /// Record the response_write observation for a fully flushed frame.
+  void retire_frame(const Connection& conn, const Connection::Outbound& done);
   /// Synthesize decompose-phase spans for a cold acquire from its run
   /// telemetry: the store computed [shift][search][assemble] back to
   /// back, ending (approximately) now, on this worker's lane.
@@ -619,12 +574,10 @@ void DecompServer::Impl::dispatch_loop() {
         if ((pfds[i].revents &
              (POLLIN | POLLOUT | POLLERR | POLLHUP | POLLNVAL)) != 0) {
           conn->state = Connection::State::kReady;
-          if (metrics_on || tracer != nullptr) {
-            conn->ready_since_ns = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    now.time_since_epoch())
-                    .count());
-          }
+          conn->ready_since_ns = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  now.time_since_epoch())
+                  .count());
           ready.push_back(conn);
           ++woke;
           continue;
@@ -634,10 +587,7 @@ void DecompServer::Impl::dispatch_loop() {
         if (timeout_enabled && !conn->outbox.empty() &&
             now - conn->write_stalled_since >= write_timeout) {
           write_timeouts.fetch_add(1, std::memory_order_relaxed);
-          if (metrics_on && conn->outbox_bytes != 0) {
-            g_outbox_bytes->add(
-                -static_cast<std::int64_t>(conn->outbox_bytes));
-          }
+          g_outbox_bytes->add(-static_cast<std::int64_t>(conn->outbox_bytes));
           ::close(conn->fd);
           conns.erase(conn->fd);
         }
@@ -681,10 +631,8 @@ void DecompServer::Impl::worker_loop(std::uint32_t worker_id) {
       if (done != nullptr) {
         switch (disposition) {
           case Disposition::kClose:
-            if (metrics_on && done->outbox_bytes != 0) {
-              g_outbox_bytes->add(
-                  -static_cast<std::int64_t>(done->outbox_bytes));
-            }
+            g_outbox_bytes->add(
+                -static_cast<std::int64_t>(done->outbox_bytes));
             ::close(done->fd);
             conns.erase(done->fd);
             break;
@@ -692,9 +640,7 @@ void DecompServer::Impl::worker_loop(std::uint32_t worker_id) {
             // Net queue size is unchanged (we push one, we pop one
             // below), so no other worker needs a wakeup.
             done->state = Connection::State::kReady;
-            if (metrics_on || tracer != nullptr) {
-              done->ready_since_ns = steady_now_ns();
-            }
+            done->ready_since_ns = steady_now_ns();
             ready.push_back(done);
             break;
           case Disposition::kPark:
@@ -737,18 +683,15 @@ void DecompServer::Impl::worker_loop(std::uint32_t worker_id) {
     }
     // Queue wait: ready-queue entry to worker claim. Recorded outside the
     // lock — the connection is exclusively ours now.
-    if ((metrics_on || tracer != nullptr) && conn->ready_since_ns != 0) {
-      const std::uint64_t now = steady_now_ns();
-      const std::uint64_t wait_ns =
-          now > conn->ready_since_ns ? now - conn->ready_since_ns : 0;
-      if (metrics_on) h_queue_wait->record(wait_ns);
-      if (tracer != nullptr) {
-        const std::uint64_t trace_now = tracer->now_ns();
-        tracer->record(obs::TraceSpan{
-            "queue_wait", "server", static_cast<std::uint32_t>(conn->fd),
-            trace_now > wait_ns ? trace_now - wait_ns : 0, wait_ns});
-      }
-      conn->ready_since_ns = 0;
+    const std::uint64_t now = steady_now_ns();
+    const std::uint64_t wait_ns =
+        now > conn->ready_since_ns ? now - conn->ready_since_ns : 0;
+    h_queue_wait->record(wait_ns);
+    if (tracer != nullptr) {
+      const std::uint64_t trace_now = tracer->now_ns();
+      tracer->record(obs::TraceSpan{
+          "queue_wait", "server", static_cast<std::uint32_t>(conn->fd),
+          trace_now > wait_ns ? trace_now - wait_ns : 0, wait_ns});
     }
     disposition = Disposition::kClose;
     try {
@@ -782,7 +725,7 @@ bool DecompServer::Impl::flush(Connection& conn) {
       }
     }
     if (iov_count == 0) {
-      retire_frame(conn, std::move(conn.outbox.front()));
+      retire_frame(conn, conn.outbox.front());
       conn.outbox.pop_front();
       continue;
     }
@@ -801,7 +744,7 @@ bool DecompServer::Impl::flush(Connection& conn) {
     }
     conn.write_stalled_since = std::chrono::steady_clock::now();
     conn.outbox_bytes -= static_cast<std::size_t>(sent);
-    if (metrics_on) g_outbox_bytes->add(-static_cast<std::int64_t>(sent));
+    g_outbox_bytes->add(-static_cast<std::int64_t>(sent));
     // Advance the flush cursor across frames/chunks, retiring completed
     // frames (and releasing their keepalive store entries).
     std::size_t remaining = static_cast<std::size_t>(sent);
@@ -827,7 +770,7 @@ bool DecompServer::Impl::flush(Connection& conn) {
         if (remaining == 0) break;
       }
       if (front.chunk == front.frame.chunks.size()) {
-        retire_frame(conn, std::move(front));
+        retire_frame(conn, front);
         conn.outbox.pop_front();
       } else {
         break;  // partial frame: the cursor holds the position
@@ -837,23 +780,31 @@ bool DecompServer::Impl::flush(Connection& conn) {
   return true;
 }
 
-void DecompServer::Impl::retire_frame(Connection& conn,
-                                      Connection::Outbound&& done) {
-  // A nonzero stamp implies observability was on at enqueue time (both
-  // flags are fixed for the server's lifetime).
-  if (done.enqueued_ns != 0) {
-    const std::uint64_t now = steady_now_ns();
-    const std::uint64_t dur =
-        now > done.enqueued_ns ? now - done.enqueued_ns : 0;
-    if (metrics_on) h_response_write->record(dur);
-    if (tracer != nullptr) {
-      const std::uint64_t trace_now = tracer->now_ns();
-      tracer->record(obs::TraceSpan{
-          "response_write", "server", static_cast<std::uint32_t>(conn.fd),
-          trace_now > dur ? trace_now - dur : 0, dur});
-    }
+void DecompServer::Impl::retire_frame(const Connection& conn,
+                                      const Connection::Outbound& done) {
+  const std::uint64_t now = steady_now_ns();
+  const std::uint64_t dur = now > done.enqueued_ns ? now - done.enqueued_ns : 0;
+  h_response_write->record(dur);
+  if (tracer != nullptr) {
+    const std::uint64_t trace_now = tracer->now_ns();
+    tracer->record(obs::TraceSpan{
+        "response_write", "server", static_cast<std::uint32_t>(conn.fd),
+        trace_now > dur ? trace_now - dur : 0, dur});
   }
-  recycle_frame(conn, std::move(done));
+}
+
+void DecompServer::Impl::memoize_entry(Connection& conn,
+                                       const DecompositionRequest& request,
+                                       std::uint32_t worker_id) {
+  if (conn.memo_entry != nullptr && conn.memo_request == request) return;
+  kick_helper();  // acquire may block on a cold decomposition
+  const SharedResultStore::Acquired acquired = store->acquire(request);
+  if (tracer != nullptr && !acquired.from_cache) {
+    record_decompose_trace(acquired.entry->result().telemetry, worker_id);
+  }
+  conn.memo_entry = acquired.entry;
+  conn.memo_request = request;
+  enforce_cache_bound();  // only an acquire can exceed the bound
 }
 
 void DecompServer::Impl::record_decompose_trace(const RunTelemetry& t,
@@ -983,10 +934,8 @@ Disposition DecompServer::Impl::service(Connection& conn,
     // Per-type service latency + the service trace span reuse the timer
     // that already feeds StatsResponse::service_seconds — no extra clock
     // read on the metrics path.
-    if (metrics_on) {
-      const int slot = service_slot(header.type);
-      if (slot >= 0) h_service[slot]->record(elapsed_ns);
-    }
+    const int slot = service_slot(header.type);
+    if (slot >= 0) h_service[slot]->record(elapsed_ns);
     if (tracer != nullptr) {
       const std::uint64_t trace_now = tracer->now_ns();
       tracer->record(obs::TraceSpan{
@@ -1040,13 +989,11 @@ void DecompServer::Impl::enqueue(
   }
   const std::size_t frame_bytes = frame.total_bytes();
   conn.outbox_bytes += frame_bytes;
-  if (metrics_on) {
-    g_outbox_bytes->add(static_cast<std::int64_t>(frame_bytes));
-  }
+  g_outbox_bytes->add(static_cast<std::int64_t>(frame_bytes));
   Connection::Outbound out;
   out.frame = std::move(frame);
   out.keepalive = std::move(keepalive);
-  if (metrics_on || tracer != nullptr) out.enqueued_ns = steady_now_ns();
+  out.enqueued_ns = steady_now_ns();
   conn.outbox.push_back(std::move(out));
 }
 
@@ -1105,7 +1052,6 @@ void DecompServer::Impl::handle_frame(Connection& conn,
       out.has_arrays = req.include_arrays;
       conn.memo_entry = acquired.entry;
       conn.memo_request = req.request;
-      conn.memo_payload.clear();  // byte memo no longer matches the entry
       // Zero-copy: the frame's array chunks view the stored result; the
       // entry rides along as the keepalive until the bytes flush.
       enqueue(conn,
@@ -1115,54 +1061,6 @@ void DecompServer::Impl::handle_frame(Connection& conn,
     }
     case MessageType::kQueryRequest: {
       query_requests.fetch_add(1, std::memory_order_relaxed);
-      const auto serve = [&](QueryKind kind, vertex_t u, vertex_t v) {
-        const MaterializedDecomposition& entry = *conn.memo_entry;
-        QueryResponse out;
-        switch (kind) {
-          case QueryKind::kClusterOf:
-            out.value = entry.cluster_of(u);
-            break;
-          case QueryKind::kOwnerOf:
-            out.value = entry.owner_of(u);
-            break;
-          case QueryKind::kDistance:
-            // The first distance query on an entry builds its oracle.
-            if (!entry.distance_oracle_built()) kick_helper();
-            out.value = entry.estimate_distance(u, v);
-            break;
-        }
-        EncodedFrame frame = take_pooled_frame(conn);
-        encode_query_response_frame_into(frame.owned[0], out);
-        frame.chunks.emplace_back(frame.owned[0].data(),
-                                  frame.owned[0].size());
-        enqueue(conn, std::move(frame));
-      };
-      // Byte-level memo hit: everything but the fixed kind/u/v tail
-      // matches the payload that populated memo_entry, so the decoded
-      // request — and its validation and store lookup — still stand.
-      // Point queries that repeat the request are the dominant serving
-      // pattern; this skips the full request decode per query.
-      if (conn.memo_entry != nullptr &&
-          payload.size() == conn.memo_payload.size() &&
-          payload.size() >= kQueryRequestTailBytes &&
-          std::memcmp(payload.data(), conn.memo_payload.data(),
-                      payload.size() - kQueryRequestTailBytes) == 0) {
-        const QueryTail tail = decode_query_request_tail(payload);
-        if (tail.u >= n ||
-            (tail.kind == QueryKind::kDistance && tail.v >= n)) {
-          throw HandlerError{
-              ErrorCode::kOutOfRange,
-              "vertex out of range (n=" + std::to_string(n) + ")"};
-        }
-        if (tail.kind == QueryKind::kDistance && !conn.memo_distance_ok) {
-          throw HandlerError{
-              ErrorCode::kUnsupportedQuery,
-              "distance estimates serve unweighted algorithms; '" +
-                  conn.memo_request.algorithm + "' produces real-valued radii"};
-        }
-        serve(tail.kind, tail.u, tail.v);
-        return;
-      }
       const QueryRequest req = decode_query_request(payload);
       validate_request(req.request);
       if (req.u >= n || (req.kind == QueryKind::kDistance && req.v >= n)) {
@@ -1170,47 +1068,41 @@ void DecompServer::Impl::handle_frame(Connection& conn,
             ErrorCode::kOutOfRange,
             "vertex out of range (n=" + std::to_string(n) + ")"};
       }
-      const AlgorithmInfo* info = find_algorithm(req.request.algorithm);
-      const bool distance_ok = !(info != nullptr && info->needs_weights);
-      if (req.kind == QueryKind::kDistance && !distance_ok) {
-        throw HandlerError{
-            ErrorCode::kUnsupportedQuery,
-            "distance estimates serve unweighted algorithms; '" +
-                req.request.algorithm + "' produces real-valued radii"};
+      if (req.kind == QueryKind::kDistance) {
+        const AlgorithmInfo* info = find_algorithm(req.request.algorithm);
+        if (info != nullptr && info->needs_weights) {
+          throw HandlerError{
+              ErrorCode::kUnsupportedQuery,
+              "distance estimates serve unweighted algorithms; '" +
+                  req.request.algorithm + "' produces real-valued radii"};
+        }
       }
-      kick_helper();  // acquire may block on a cold decomposition
-      const SharedResultStore::Acquired acquired =
-          store->acquire(req.request);
-      if (tracer != nullptr && !acquired.from_cache) {
-        record_decompose_trace(acquired.entry->result().telemetry,
-                               worker_id);
+      memoize_entry(conn, req.request, worker_id);
+      const MaterializedDecomposition& entry = *conn.memo_entry;
+      QueryResponse out;
+      switch (req.kind) {
+        case QueryKind::kClusterOf:
+          out.value = entry.cluster_of(req.u);
+          break;
+        case QueryKind::kOwnerOf:
+          out.value = entry.owner_of(req.u);
+          break;
+        case QueryKind::kDistance:
+          // The first distance query on an entry builds its oracle.
+          if (!entry.distance_oracle_built()) kick_helper();
+          out.value = entry.estimate_distance(req.u, req.v);
+          break;
       }
-      conn.memo_entry = acquired.entry;
-      conn.memo_request = req.request;
-      conn.memo_payload.assign(payload.begin(), payload.end());
-      conn.memo_distance_ok = distance_ok;
-      enforce_cache_bound();  // only an acquire can exceed the bound
-      serve(req.kind, req.u, req.v);
+      std::vector<std::uint8_t> frame;
+      encode_query_response_frame_into(frame, out);
+      enqueue(conn, make_owned_frame(std::move(frame)));
       return;
     }
     case MessageType::kBoundaryRequest: {
       const BoundaryRequest req = decode_boundary_request(payload);
       boundary_requests.fetch_add(1, std::memory_order_relaxed);
-      // The acquire may block on a cold decomposition, and the entry
-      // builds its boundary list on the first request for it.
-      kick_helper();
-      if (conn.memo_entry == nullptr || !(conn.memo_request == req.request)) {
-        const SharedResultStore::Acquired acquired =
-            store->acquire(req.request);
-        if (tracer != nullptr && !acquired.from_cache) {
-          record_decompose_trace(acquired.entry->result().telemetry,
-                                 worker_id);
-        }
-        conn.memo_entry = acquired.entry;
-        conn.memo_request = req.request;
-        conn.memo_payload.clear();  // byte memo no longer matches the entry
-        enforce_cache_bound();  // only an acquire can exceed the bound
-      }
+      memoize_entry(conn, req.request, worker_id);
+      kick_helper();  // the entry builds its boundary list on first use
       // Zero-copy: the edge-list chunk views the stored boundary.
       enqueue(conn,
               encode_boundary_response_frame(conn.memo_entry->boundary_arcs()),
@@ -1338,7 +1230,6 @@ void DecompServer::start() {
   // Register every instrument once, before any serving thread exists:
   // the cached pointers are stable for the registry's lifetime, so the
   // hot path records without touching the registry mutex.
-  impl.metrics_on = impl.config.metrics_enabled;
   impl.h_service[0] = &impl.metrics.histogram("server.service.info");
   impl.h_service[1] = &impl.metrics.histogram("server.service.run");
   impl.h_service[2] = &impl.metrics.histogram("server.service.query");
@@ -1351,7 +1242,7 @@ void DecompServer::start() {
   impl.g_store_resident = &impl.metrics.gauge("store.resident_results");
   impl.g_cache_blocks = &impl.metrics.gauge("cache.resident_blocks");
   impl.g_cache_bytes = &impl.metrics.gauge("cache.resident_bytes");
-  if (impl.metrics_on) impl.store->set_metrics(&impl.metrics);
+  impl.store->set_metrics(&impl.metrics);
   if (!impl.config.trace_path.empty()) {
     impl.tracer =
         std::make_unique<obs::TraceRecorder>(impl.config.trace_capacity);

@@ -96,13 +96,6 @@ struct ServerConfig {
   /// **paged** — only "mpx" decomposes, and the info response reports the
   /// block cache's lifetime hit/miss/eviction counters.
   std::uint64_t memory_budget_bytes = 0;
-  /// Feed the metrics registry (per-request-type latency histograms,
-  /// queue-wait, outbox depth, decompose phase timings) on the serving
-  /// path. Off skips the histogram records *and* the steady-clock reads
-  /// that feed them; kStatsRequest still answers, with the fixed counters
-  /// live and the registry sections empty. (Compile with
-  /// -DMPX_OBS_DISABLE to remove the record path entirely.)
-  bool metrics_enabled = true;
   /// When non-empty, record per-request spans (queue_wait, service,
   /// decompose phases, response_write) and export them as Chrome
   /// trace-event JSON to this path when the server stops

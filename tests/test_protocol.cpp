@@ -633,43 +633,6 @@ TEST(Protocol, HotPathQueryFramesAreByteIdenticalToEncodeMessage) {
   EXPECT_EQ(frame, encode_message(MessageType::kQueryResponse, answer));
 }
 
-TEST(Protocol, QueryTailDecodeMatchesTheFullDecode) {
-  QueryRequest msg;
-  msg.request = sample_request();
-  std::vector<std::uint8_t> first;
-  for (const QueryKind kind :
-       {QueryKind::kClusterOf, QueryKind::kOwnerOf, QueryKind::kDistance}) {
-    msg.kind = kind;
-    msg.u = 0xDEADBEEF;
-    msg.v = 0x0BADF00D;
-    const std::vector<std::uint8_t> payload = encode_payload(msg);
-    const QueryTail tail = decode_query_request_tail(payload);
-    EXPECT_EQ(tail.kind, kind);
-    EXPECT_EQ(tail.u, msg.u);
-    EXPECT_EQ(tail.v, msg.v);
-    // The tail is exactly the last kQueryRequestTailBytes: payloads that
-    // differ only in kind/u/v share every byte before it (the byte-memo
-    // contract servers rely on).
-    ASSERT_GE(payload.size(), kQueryRequestTailBytes);
-    if (first.empty()) {
-      first = payload;
-    } else {
-      ASSERT_EQ(payload.size(), first.size());
-      EXPECT_TRUE(std::equal(
-          payload.begin(),
-          payload.end() - static_cast<std::ptrdiff_t>(kQueryRequestTailBytes),
-          first.begin()));
-    }
-  }
-  // Shorter than the tail: rejected, same contract as the full decoder.
-  const std::vector<std::uint8_t> runt(kQueryRequestTailBytes - 1, 0);
-  EXPECT_THROW((void)decode_query_request_tail(runt), ProtocolError);
-  // Out-of-range kind byte: rejected.
-  std::vector<std::uint8_t> bad_kind = encode_payload(msg);
-  bad_kind[bad_kind.size() - kQueryRequestTailBytes] = 99;
-  EXPECT_THROW((void)decode_query_request_tail(bad_kind), ProtocolError);
-}
-
 TEST(Protocol, MakeOwnedFrameWrapsContiguousBytes) {
   const std::vector<std::uint8_t> wire =
       encode_message(MessageType::kInfoRequest, InfoRequest{});

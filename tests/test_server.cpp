@@ -246,10 +246,10 @@ TEST(Server, RepeatRequestsHitTheWorkerCache) {
 }
 
 TEST(Server, QueryMemoTracksRequestSwitchesOnOneConnection) {
-  // The per-connection query memo (including its byte-level fast path)
-  // must never serve a stale entry: interleave point queries of two
-  // requests with run() calls that repoint the memo at a different
-  // decomposition, and check every answer against the session.
+  // The per-connection entry memo must never serve a stale entry:
+  // interleave point queries of two requests with run() calls that
+  // repoint the memo at a different decomposition, and check every
+  // answer against the session.
   mpx::testing::TempDir dir("mpx_server");
   const std::string path = dir.file("grid.mpxs");
   io::save_snapshot(path, generators::grid2d(12, 12));
@@ -264,7 +264,7 @@ TEST(Server, QueryMemoTracksRequestSwitchesOnOneConnection) {
   }
   (void)client.run(b);  // repoints the connection memo at b's entry
   for (vertex_t v = 0; v < n; v += 17) {
-    // Same bytes as the earlier queries: must not hit b's entry.
+    // Same request as the earlier queries: must not hit b's entry.
     EXPECT_EQ(client.cluster_of(v, a), served.session.cluster_of(v, a));
     EXPECT_EQ(client.cluster_of(v, b), served.session.cluster_of(v, b));
     EXPECT_EQ(client.owner_of(v, a), served.session.owner_of(v, a));
@@ -311,12 +311,21 @@ TEST(Server, RejectsDistanceEstimatesForWeightedAlgorithms) {
   io::save_snapshot(path, mpx::testing::grid3x3_weighted_reference());
   ServedSnapshot served(dir, path, 1);
   DecompClient client = served.connect();
-  try {
-    (void)client.estimate_distance(0, 1, request(0.4, 1, "mpx-weighted"));
-    FAIL() << "expected ServerError";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kUnsupportedQuery);
-  }
+  const DecompositionRequest weighted = request(0.4, 1, "mpx-weighted");
+  const auto expect_unsupported = [&] {
+    try {
+      (void)client.estimate_distance(0, 1, weighted);
+      FAIL() << "expected ServerError";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnsupportedQuery);
+    }
+  };
+  expect_unsupported();
+  // A served point query memoizes the weighted entry on this connection;
+  // the refusal must not depend on whether that memo is warm.
+  EXPECT_EQ(client.cluster_of(0, weighted),
+            served.session.cluster_of(0, weighted));
+  expect_unsupported();
 }
 
 TEST(Server, AnswersMalformedBytesWithErrorResponseAndSurvives) {
@@ -646,33 +655,6 @@ TEST(Server, ServerStatsMatchesTheServerSideSnapshot) {
     EXPECT_EQ(wire.metrics.gauge_or("store.resident_results", -1),
               local.gauge_or("store.resident_results", -2));
   }
-}
-
-TEST(Server, DisabledMetricsKeepServingButRecordNothing) {
-  mpx::testing::TempDir dir("mpx_server");
-  const std::string snapshot_path = dir.file("grid.mpxs");
-  io::save_snapshot(snapshot_path, generators::grid2d(6, 6));
-  ServerConfig config;
-  config.snapshot_path = snapshot_path;
-  config.socket_path = dir.file("nometrics.sock");
-  config.workers = 2;
-  config.metrics_enabled = false;
-  DecompServer server(std::move(config));
-  server.start();
-  {
-    DecompClient client =
-        DecompClient::connect_unix(server.config().socket_path);
-    (void)client.run(request(0.3));
-    const StatsResponse stats = client.server_stats();
-    // The lifetime counters still count (they predate the registry)...
-    EXPECT_EQ(stats.run_requests, 1u);
-    // ...but every histogram stays empty and the session bridge is off.
-    for (const obs::NamedHistogram& h : stats.metrics.histograms) {
-      EXPECT_EQ(h.histogram.count, 0u) << h.name;
-    }
-    EXPECT_EQ(stats.metrics.counter_or("decomp.computes", 0), 0u);
-  }
-  server.stop();
 }
 
 TEST(Server, TraceFileCapturesServedRequests) {

@@ -34,13 +34,17 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement below is noinline: GCC's -Wmismatched-new-delete
+// otherwise sees the inlined malloc/free bodies at call sites and reports
+// `operator new`'s pointer reaching `free` as a mismatch. Out of line,
+// each call site pairs operator new with operator delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -48,20 +52,26 @@ void* operator new[](std::size_t size) {
 
 // The nothrow forms (std::get_temporary_buffer, under parallel_sort's
 // merges) must come from malloc too, or the free() below mismatches them.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mpx {
 namespace {
