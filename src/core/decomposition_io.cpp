@@ -1,5 +1,6 @@
 #include "core/decomposition_io.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -7,16 +8,63 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace mpx::io {
 namespace {
 
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') return true;
+/// The rest of `in` as one buffer: both readers parse bytes in one pass
+/// instead of extracting each line through an istringstream.
+std::string slurp(std::istream& in) {
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return std::move(bytes).str();
+}
+
+/// Line cursor over a buffer (a final line needs no terminating newline).
+/// Content lines are the non-empty ones that do not start with '#'.
+class ContentLines {
+ public:
+  explicit ContentLines(std::string_view bytes) : rest_(bytes) {}
+
+  /// The next line, comments included; false at the end.
+  bool next_line(std::string_view& line) {
+    if (rest_.empty()) return false;
+    const std::size_t eol = rest_.find('\n');
+    line = rest_.substr(0, eol);
+    rest_.remove_prefix(eol == std::string_view::npos ? rest_.size()
+                                                       : eol + 1);
+    return true;
   }
-  return false;
+
+  /// The next content line; false at the end.
+  bool next(std::string_view& line) {
+    while (next_line(line)) {
+      if (!line.empty() && line[0] != '#') return true;
+    }
+    return false;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// One unsigned decimal field at `pos` (after blanks, as iostream
+/// extraction skips them), advancing `pos` past it; trailing content is
+/// left for the caller. False when no digits parse or the value
+/// overflows 64 bits — a sign is never accepted.
+bool next_field(std::string_view line, std::size_t& pos, std::uint64_t& out) {
+  while (pos < line.size() &&
+         (line[pos] == ' ' || line[pos] == '\t' || line[pos] == '\r' ||
+          line[pos] == '\v' || line[pos] == '\f')) {
+    ++pos;
+  }
+  const char* end = line.data() + line.size();
+  const auto [next, ec] = std::from_chars(line.data() + pos, end, out);
+  if (ec != std::errc()) return false;
+  pos = static_cast<std::size_t>(next - line.data());
+  return true;
 }
 
 [[noreturn]] void malformed(const std::string& what) {
@@ -40,34 +88,39 @@ std::string format_double(double value) {
   return buf;
 }
 
-/// Parse the decomposition body given the already-consumed "n k" header
-/// line; shared by both readers.
-Decomposition read_body(std::istream& in, const std::string& header_line) {
-  std::istringstream header(header_line);
+/// Parse the decomposition body given its "n k" header line, reading the
+/// centers and assignment rows from `lines`; shared by both readers.
+Decomposition read_body(std::string_view header_line, ContentLines& lines) {
   std::uint64_t n = 0;
   std::uint64_t k = 0;
-  if (!(header >> n >> k)) malformed("bad header: " + header_line);
+  std::size_t pos = 0;
+  if (!next_field(header_line, pos, n) || !next_field(header_line, pos, k)) {
+    malformed("bad header: " + std::string(header_line));
+  }
   if (k > n) malformed("more clusters than vertices");
 
-  std::string line;
+  std::string_view line;
   std::vector<vertex_t> centers(k);
   for (std::uint64_t c = 0; c < k; ++c) {
-    if (!next_content_line(in, line)) malformed("unexpected EOF in centers");
-    std::istringstream row(line);
+    if (!lines.next(line)) malformed("unexpected EOF in centers");
     std::uint64_t center = 0;
-    if (!(row >> center) || center >= n) malformed("bad center: " + line);
+    pos = 0;
+    if (!next_field(line, pos, center) || center >= n) {
+      malformed("bad center: " + std::string(line));
+    }
     centers[c] = static_cast<vertex_t>(center);
   }
 
   std::vector<vertex_t> owner(n);
   std::vector<std::uint32_t> dist(n);
   for (std::uint64_t v = 0; v < n; ++v) {
-    if (!next_content_line(in, line)) malformed("unexpected EOF in rows");
-    std::istringstream row(line);
+    if (!lines.next(line)) malformed("unexpected EOF in rows");
     std::uint64_t cluster = 0;
     std::uint64_t d = 0;
-    if (!(row >> cluster >> d) || cluster >= k) {
-      malformed("bad assignment row: " + line);
+    pos = 0;
+    if (!next_field(line, pos, cluster) || !next_field(line, pos, d) ||
+        cluster >= k || d > std::numeric_limits<std::uint32_t>::max()) {
+      malformed("bad assignment row: " + std::string(line));
     }
     owner[v] = centers[cluster];
     dist[v] = static_cast<std::uint32_t>(d);
@@ -200,26 +253,30 @@ void write_decomposition(std::ostream& out, const Decomposition& dec,
 }
 
 Decomposition read_decomposition(std::istream& in) {
-  std::string line;
-  if (!next_content_line(in, line)) malformed("missing header");
-  return read_body(in, line);
+  const std::string bytes = slurp(in);
+  ContentLines lines(bytes);
+  std::string_view header;
+  if (!lines.next(header)) malformed("missing header");
+  return read_body(header, lines);
 }
 
 LoadedDecomposition read_decomposition_full(std::istream& in) {
   LoadedDecomposition out;
-  std::string line;
+  const std::string bytes = slurp(in);
+  ContentLines lines(bytes);
+  std::string_view line;
   bool in_block = false;
   bool have_header = false;
-  std::string header_line;
-  while (std::getline(in, line)) {
-    if (line.rfind("#!", 0) == 0) {
-      std::istringstream row(line.substr(2));
+  std::string_view header_line;
+  while (lines.next_line(line)) {
+    if (line.starts_with("#!")) {
+      std::istringstream row{std::string(line.substr(2))};
       std::string key;
       if (!(row >> key)) malformed("empty #! line");
       if (!in_block) {
         std::string version;
         if (key != "telemetry" || !(row >> version)) {
-          malformed("#! line outside a telemetry block: " + line);
+          malformed("#! line outside a telemetry block: " + std::string(line));
         }
         if (version != "v1") {
           malformed("unsupported telemetry version: " + version);
@@ -232,7 +289,7 @@ LoadedDecomposition read_decomposition_full(std::istream& in) {
       if (key == "end") {
         std::string what;
         if (!(row >> what) || what != "telemetry") {
-          malformed("bad telemetry terminator: " + line);
+          malformed("bad telemetry terminator: " + std::string(line));
         }
         in_block = false;
         continue;
@@ -247,7 +304,7 @@ LoadedDecomposition read_decomposition_full(std::istream& in) {
   }
   if (in_block) malformed("unterminated telemetry block");
   if (!have_header) malformed("missing header");
-  out.decomposition = read_body(in, header_line);
+  out.decomposition = read_body(header_line, lines);
   return out;
 }
 

@@ -18,6 +18,10 @@
 // parses and validates the block: a malformed block (unknown version,
 // unknown key, non-numeric value, missing "end telemetry") throws
 // std::runtime_error rather than being silently dropped.
+//
+// Both readers consume `in` to its end and parse the bytes in one pass.
+// A row whose cluster id or distance is out of range (a negative
+// distance, one above uint32 max) is malformed.
 #pragma once
 
 #include <iosfwd>

@@ -46,13 +46,13 @@ namespace {
   fail(path + ": " + std::strerror(errno));
 }
 
-/// Dispatcher poll interval: the upper bound on stop-flag, accept-backoff
-/// and write-timeout latency.
+/// Leader poll interval: the upper bound on accept-backoff and
+/// write-timeout latency.
 inline constexpr int kPollMillis = 200;
 
-/// Complete frames one worker handles per connection checkout before the
-/// connection goes back to the ready queue — the fairness cap that keeps
-/// one deeply-pipelined client from starving interleaved ones.
+/// Complete frames one worker handles per connection claim before the
+/// connection is parked again — the fairness cap that keeps one
+/// deeply-pipelined client from starving interleaved ones.
 inline constexpr int kMaxFramesPerTurn = 32;
 
 /// Response backpressure: while a connection has more queued unsent
@@ -69,6 +69,9 @@ inline constexpr std::size_t kInbufPauseBytes =
 /// recv granularity for the non-blocking read path.
 inline constexpr std::size_t kReadChunkBytes = 64u << 10;
 
+/// Span ring capacity when tracing (oldest spans overwritten).
+inline constexpr std::size_t kTraceSpans = 1u << 16;
+
 /// An application-level rejection raised inside a request handler; the
 /// service loop turns it into a kErrorResponse (the connection survives).
 struct HandlerError {
@@ -76,22 +79,23 @@ struct HandlerError {
   std::string message;
 };
 
-/// One client connection's full state. Ownership alternates: the
-/// dispatcher touches a connection only while state == kPolling, a worker
-/// only after checking it out (state == kBusy); every transition happens
-/// under the server mutex, which makes the handoff race-free without
-/// per-connection locks.
+/// One client connection's full state. Ownership alternates: a parked
+/// connection is touched only by the leader (the one worker polling), a
+/// claimed one only by the worker that claimed it; every transition
+/// happens under the server mutex, which makes the handoff race-free
+/// without per-connection locks.
 struct Connection {
-  enum class State : std::uint8_t {
-    kPolling,  ///< parked in the dispatcher's poll set
-    kReady,    ///< queued for a worker
-    kBusy,     ///< checked out by a worker
-  };
-
   explicit Connection(int fd_in) : fd(fd_in) {}
 
   int fd = -1;
-  State state = State::kPolling;
+  /// Claimed by a worker (else parked in the leader's poll set).
+  bool claimed = false;
+  /// Parked with complete frames still buffered and room in the outbox
+  /// (the per-claim frame cap ran out): ready without waiting in poll.
+  bool runnable = false;
+  /// Value of Impl::claims when this connection was last claimed; the
+  /// leader serves the least recently claimed ready connection first.
+  std::uint64_t last_claim = 0;
 
   // Inbound: raw bytes, parsed up to `inpos` (frames may arrive split or
   // back-to-back — pipelining).
@@ -129,16 +133,6 @@ struct Connection {
   /// after any earlier in-order responses — the protocol's error
   /// resynchronization rule.
   bool close_after_flush = false;
-  /// Instant (steady ns) this connection entered the ready queue; feeds
-  /// the server.queue_wait histogram / trace span when a worker claims it.
-  std::uint64_t ready_since_ns = 0;
-};
-
-/// What a worker decided after servicing a checked-out connection.
-enum class Disposition : std::uint8_t {
-  kClose,    ///< close the fd and forget the connection
-  kRequeue,  ///< complete frames still buffered: straight back to ready
-  kPark,     ///< hand back to the dispatcher's poll set
 };
 
 void set_nonblocking(int fd) {
@@ -197,7 +191,7 @@ struct DecompServer::Impl {
   std::unique_ptr<SharedResultStore> store;  // the fleet-wide result cache
 
   int listen_fd = -1;
-  int wake_fds[2] = {-1, -1};  ///< self-pipe: workers re-arm the dispatcher
+  int wake_fds[2] = {-1, -1};  ///< self-pipe: interrupts the leader's poll
   std::uint16_t bound_port = 0;
   std::atomic<bool> started{false};
   std::atomic<bool> stopping{false};
@@ -205,18 +199,18 @@ struct DecompServer::Impl {
 
   /// Set the stop flag under the mutex (so a cv waiter between its
   /// predicate check and its sleep cannot miss the wakeup) and wake
-  /// everyone, the poll-blocked dispatcher included.
+  /// everyone, the poll-blocked leader included.
   void signal_stop() {
     {
       std::lock_guard<std::mutex> lock(mutex);
       stopping.store(true);
     }
-    ready_cv.notify_all();
+    follower_cv.notify_all();
     stop_cv.notify_all();
-    wake_dispatcher();
+    wake_leader();
   }
 
-  void wake_dispatcher() {
+  void wake_leader() {
 #if MPX_SERVER_HAVE_SOCKETS
     if (wake_fds[1] >= 0) {
       const char byte = 1;
@@ -225,42 +219,26 @@ struct DecompServer::Impl {
 #endif
   }
 
-  std::thread dispatcher;
   std::vector<std::thread> workers;
-  std::mutex mutex;               ///< guards conns, ready, state moves
-  std::condition_variable ready_cv;  ///< workers wait here
-  std::condition_variable stop_cv;   ///< wait() waits here
+  std::mutex mutex;  ///< guards conns, claims, leadership and the flags below
+  std::condition_variable follower_cv;  ///< idle workers wait to lead here
+  std::condition_variable stop_cv;      ///< wait() waits here
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
-  std::deque<Connection*> ready;
-  /// True from just before the dispatcher snapshots its poll set until
-  /// poll() returns. A worker parking a connection needs the wake pipe
-  /// only inside that window — outside it the dispatcher is processing
-  /// and will pick the parked connection up in its next snapshot anyway.
-  /// Set BEFORE the snapshot so a park that misses the snapshot is
-  /// guaranteed to see the flag and write the pipe.
-  std::atomic<bool> dispatcher_polling{false};
-  /// Coalesces wake-pipe writes within one poll window: the first park
-  /// flips this and writes the pipe; later parks in the same window skip
-  /// the syscall (one byte already guarantees the poll return that
-  /// re-snapshots every parked connection). Cleared at the top of each
-  /// cycle, before the snapshot, so post-snapshot parks start fresh.
-  std::atomic<bool> wake_pending{false};
-  /// Workers asleep on ready_cv (guarded by mutex; incremented only
-  /// around an actual block, so notify_one with idle_workers > 0 always
-  /// lands on a real sleeper).
-  std::size_t idle_workers = 0;
-  /// Wakes issued but not yet consumed by a sleeper (guarded by mutex).
-  /// Notifies are need-based, not per-item: the dispatcher wakes one
-  /// worker per batch, and a worker about to enter a blocking store
-  /// operation calls kick_helper() so the rest of the queue is not
-  /// stranded behind its cold compute. Invariant: whenever the ready
-  /// queue is non-empty, either an awake worker will re-check it before
-  /// sleeping or a notify is in flight — every enqueue (dispatcher) and
-  /// every potential block (worker) re-establishes it. A fast drain thus
-  /// costs one futex wake per batch, not one per item.
-  std::size_t notifies_in_flight = 0;
+  /// Leader/followers: at most one worker at a time (the leader) polls
+  /// the listener, the wake pipe and every parked connection; the others
+  /// wait on follower_cv. The leader claims one ready connection, hands
+  /// leadership to the next idle worker and serves the claim itself.
+  bool have_leader = false;
+  /// True while the leader sleeps in poll() on a snapshot of conns that
+  /// a newly parked connection would miss. The first worker to park one
+  /// clears it and writes the wake pipe; later parks in the same window
+  /// skip the syscall, since the leader re-snapshots every parked
+  /// connection anyway.
+  bool leader_polling = false;
+  /// Claims so far; stamps Connection::last_claim.
+  std::uint64_t claims = 0;
   /// Listener exclusion window after an fd-exhaustion accept failure;
-  /// dispatcher-thread-only.
+  /// touched only by the current leader.
   std::chrono::steady_clock::time_point accept_backoff_until{};
 
   std::atomic<std::uint64_t> connections{0};
@@ -283,7 +261,6 @@ struct DecompServer::Impl {
   obs::MetricsRegistry metrics;
   /// Per-request-type service latency, indexed by service_slot().
   obs::LatencyHistogram* h_service[6] = {};
-  obs::LatencyHistogram* h_queue_wait = nullptr;      ///< ready → claimed
   obs::LatencyHistogram* h_response_write = nullptr;  ///< enqueue → last byte
   obs::Gauge* g_outbox_bytes = nullptr;     ///< live, summed across conns
   obs::Gauge* g_store_resident = nullptr;   ///< refreshed per snapshot
@@ -340,16 +317,16 @@ struct DecompServer::Impl {
 
 #if MPX_SERVER_HAVE_SOCKETS
   void open_listener();
-  void dispatch_loop();
   void accept_new();
   void worker_loop(std::uint32_t worker_id);
-  /// Called by a worker right before a store operation that may block
-  /// (cold compute, single-flight wait, warm-file IO, an entry's first
-  /// boundary or oracle build): wakes one sleeping worker if the ready
-  /// queue would otherwise be stranded behind us.
-  void kick_helper();
-  [[nodiscard]] Disposition service(Connection& conn,
-                                    std::uint32_t worker_id);
+  /// Poll as the leader until a parked connection is ready to serve and
+  /// return it, or null once the server stops. Called and returns with
+  /// `lock` held; releases it around poll().
+  [[nodiscard]] Connection* lead(std::unique_lock<std::mutex>& lock,
+                                 std::vector<pollfd>& pfds,
+                                 std::vector<Connection*>& polled);
+  /// Read, handle and flush one claimed connection; false closes it.
+  [[nodiscard]] bool service(Connection& conn, std::uint32_t worker_id);
   /// Non-blocking flush of the outbox front; false on a dead transport.
   [[nodiscard]] bool flush(Connection& conn);
   /// Non-blocking read of whatever the socket holds (bounded by
@@ -403,7 +380,6 @@ void DecompServer::Impl::restore_warm(bool strict) {
 void DecompServer::Impl::enforce_cache_bound() {
   if (config.max_cached_results == 0) return;
   if (store->size() <= config.max_cached_results) return;
-  kick_helper();  // reload of the warm set does file IO
   store->clear();
   restore_warm(/*strict=*/false);
 }
@@ -509,9 +485,56 @@ void DecompServer::Impl::accept_new() {
   }
 }
 
-void DecompServer::Impl::dispatch_loop() {
+void DecompServer::Impl::worker_loop(std::uint32_t worker_id) {
   std::vector<pollfd> pfds;
   std::vector<Connection*> polled;
+  std::unique_lock<std::mutex> lock(mutex);
+  for (;;) {
+    if (stopping.load(std::memory_order_relaxed)) return;
+    if (have_leader) {
+      follower_cv.wait(lock);
+      continue;
+    }
+    have_leader = true;
+    Connection* conn = lead(lock, pfds, polled);
+    have_leader = false;
+    if (conn == nullptr) return;
+    conn->claimed = true;
+    conn->last_claim = ++claims;
+    lock.unlock();
+    // Hand the poll to an idle worker before serving, so the other ready
+    // connections never wait behind this one's (possibly cold) work.
+    follower_cv.notify_one();
+    bool keep = false;
+    try {
+      keep = service(*conn, worker_id);
+    } catch (const std::exception&) {
+      // A connection must never take its worker down (e.g. bad_alloc on
+      // a huge-but-in-bounds payload claim); drop it and serve the next.
+    }
+    lock.lock();
+    if (!keep) {
+      g_outbox_bytes->add(-static_cast<std::int64_t>(conn->outbox_bytes));
+      ::close(conn->fd);
+      conns.erase(conn->fd);
+      continue;
+    }
+    conn->claimed = false;
+    // A leader asleep in poll() snapshotted the parked set without this
+    // connection: interrupt it so it re-snapshots. Outside that window
+    // the next snapshot picks the connection up anyway.
+    if (leader_polling) {
+      leader_polling = false;
+      lock.unlock();
+      wake_leader();
+      lock.lock();
+    }
+  }
+}
+
+Connection* DecompServer::Impl::lead(std::unique_lock<std::mutex>& lock,
+                                     std::vector<pollfd>& pfds,
+                                     std::vector<Connection*>& polled) {
   const bool timeout_enabled = config.write_timeout > 0.0;
   const auto write_timeout = std::chrono::duration_cast<
       std::chrono::steady_clock::duration>(
@@ -525,183 +548,67 @@ void DecompServer::Impl::dispatch_loop() {
         std::chrono::steady_clock::now() >= accept_backoff_until;
     if (listener_polled) pfds.push_back(pollfd{listen_fd, POLLIN, 0});
     const std::size_t first_conn = pfds.size();
-    // Raised BEFORE the snapshot: a worker that parks a connection after
-    // this store either lands in the snapshot below (park completed
-    // before we took the lock) or sees the flag and writes the wake
-    // pipe. Either way the connection is re-armed without a poll-timeout
-    // stall, and parks that happen while we process results (flag down)
-    // skip the pipe write entirely — the next snapshot picks them up.
-    dispatcher_polling.store(true, std::memory_order_seq_cst);
-    wake_pending.store(false, std::memory_order_seq_cst);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      for (auto& [fd, conn] : conns) {
-        if (conn->state != Connection::State::kPolling) continue;
-        short events = 0;
-        if (!conn->outbox.empty()) events |= POLLOUT;
-        if (!conn->saw_eof && !conn->close_after_flush &&
-            conn->outbox_bytes <= kOutboxPauseBytes &&
-            conn->inbuf.size() - conn->inpos <= kInbufPauseBytes) {
-          events |= POLLIN;
-        }
-        if (events == 0) continue;  // nothing can unblock it but a worker
-        pfds.push_back(pollfd{fd, events, 0});
-        polled.push_back(conn.get());
+    bool any_runnable = false;
+    for (auto& [fd, conn] : conns) {
+      if (conn->claimed) continue;
+      short events = 0;
+      if (!conn->outbox.empty()) events |= POLLOUT;
+      if (!conn->saw_eof && !conn->close_after_flush &&
+          conn->outbox_bytes <= kOutboxPauseBytes &&
+          conn->inbuf.size() - conn->inpos <= kInbufPauseBytes) {
+        events |= POLLIN;
       }
+      // Neither the socket nor buffered frames can make it ready.
+      if (events == 0 && !conn->runnable) continue;
+      any_runnable = any_runnable || conn->runnable;
+      pfds.push_back(pollfd{fd, events, 0});
+      polled.push_back(conn.get());
     }
+    leader_polling = true;
+    lock.unlock();
+    // A runnable connection is ready now: poll only to collect the other
+    // ready ones, so buffered frames never jump the queue.
     const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                          kPollMillis);
-    dispatcher_polling.store(false, std::memory_order_seq_cst);
-    if (stopping.load(std::memory_order_relaxed)) break;
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;  // poll itself failing is unrecoverable
-    }
-    if ((pfds[0].revents & POLLIN) != 0) {
+                          any_runnable ? 0 : kPollMillis);
+    const int poll_errno = errno;
+    if (rc > 0 && (pfds[0].revents & POLLIN) != 0) {
       char buf[64];
       while (::read(wake_fds[0], buf, sizeof(buf)) > 0) {
       }
     }
-    if (listener_polled && (pfds[1].revents & POLLIN) != 0) accept_new();
-    std::size_t woke = 0;
-    bool kick = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      const auto now = std::chrono::steady_clock::now();
-      for (std::size_t i = first_conn; i < pfds.size(); ++i) {
-        Connection* conn = polled[i - first_conn];
-        if (conn->state != Connection::State::kPolling) continue;
-        if ((pfds[i].revents &
-             (POLLIN | POLLOUT | POLLERR | POLLHUP | POLLNVAL)) != 0) {
-          conn->state = Connection::State::kReady;
-          conn->ready_since_ns = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  now.time_since_epoch())
-                  .count());
-          ready.push_back(conn);
-          ++woke;
-          continue;
+    if (rc > 0 && listener_polled && (pfds[1].revents & POLLIN) != 0) {
+      accept_new();
+    }
+    lock.lock();
+    leader_polling = false;
+    if (rc < 0 && poll_errno != EINTR) return nullptr;  // unrecoverable
+    // Only the leader claims a parked connection, so every polled one is
+    // still parked and alive.
+    Connection* pick = nullptr;
+    const auto now = std::chrono::steady_clock::now();
+    for (std::size_t i = first_conn; i < pfds.size(); ++i) {
+      Connection* conn = polled[i - first_conn];
+      if (conn->runnable ||
+          (pfds[i].revents &
+           (POLLIN | POLLOUT | POLLERR | POLLHUP | POLLNVAL)) != 0) {
+        if (pick == nullptr || conn->last_claim < pick->last_claim) {
+          pick = conn;
         }
-        // No progress possible: a non-empty outbox whose peer accepts no
-        // bytes for write_timeout gets dropped (the dead-reader guard).
-        if (timeout_enabled && !conn->outbox.empty() &&
-            now - conn->write_stalled_since >= write_timeout) {
-          write_timeouts.fetch_add(1, std::memory_order_relaxed);
-          g_outbox_bytes->add(-static_cast<std::int64_t>(conn->outbox_bytes));
-          ::close(conn->fd);
-          conns.erase(conn->fd);
-        }
+        continue;
       }
-      // One notify starts the drain; an awake worker keeps popping until
-      // the queue is empty, and kicks a helper itself if it is about to
-      // block (kick_helper in handle_frame). Skip the wake when one is
-      // already in flight or every worker is awake.
-      if (woke > 0 && idle_workers > 0 && notifies_in_flight == 0) {
-        ++notifies_in_flight;
-        kick = true;
+      // No progress possible: a non-empty outbox whose peer accepts no
+      // bytes for write_timeout gets dropped (the dead-reader guard).
+      if (timeout_enabled && !conn->outbox.empty() &&
+          now - conn->write_stalled_since >= write_timeout) {
+        write_timeouts.fetch_add(1, std::memory_order_relaxed);
+        g_outbox_bytes->add(-static_cast<std::int64_t>(conn->outbox_bytes));
+        ::close(conn->fd);
+        conns.erase(conn->fd);
       }
     }
-    if (kick) ready_cv.notify_one();
+    if (pick != nullptr) return pick;
   }
-}
-
-void DecompServer::Impl::kick_helper() {
-  bool kick = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!ready.empty() && idle_workers > 0 && notifies_in_flight == 0) {
-      ++notifies_in_flight;
-      kick = true;
-    }
-  }
-  if (kick) ready_cv.notify_one();
-}
-
-void DecompServer::Impl::worker_loop(std::uint32_t worker_id) {
-  // One critical section per iteration: apply the previous connection's
-  // disposition AND pop the next ready connection under the same lock
-  // (a busy server otherwise pays two acquires per request).
-  Connection* done = nullptr;
-  Disposition disposition = Disposition::kPark;
-  for (;;) {
-    Connection* conn = nullptr;
-    bool park = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      if (done != nullptr) {
-        switch (disposition) {
-          case Disposition::kClose:
-            g_outbox_bytes->add(
-                -static_cast<std::int64_t>(done->outbox_bytes));
-            ::close(done->fd);
-            conns.erase(done->fd);
-            break;
-          case Disposition::kRequeue:
-            // Net queue size is unchanged (we push one, we pop one
-            // below), so no other worker needs a wakeup.
-            done->state = Connection::State::kReady;
-            done->ready_since_ns = steady_now_ns();
-            ready.push_back(done);
-            break;
-          case Disposition::kPark:
-            done->state = Connection::State::kPolling;
-            park = true;
-            break;
-        }
-        done = nullptr;
-      }
-      // The dispatcher builds its poll set once per cycle; a freshly
-      // parked connection needs a re-arm to be seen before the next
-      // timeout — but only when the dispatcher is actually blocked in
-      // poll(). Outside that window it re-snapshots conns (where the
-      // parked connection now sits as kPolling) before blocking again,
-      // so the pipe write would be a wasted syscall. The flag goes up
-      // before the snapshot, so a park that misses the snapshot always
-      // observes it.
-      if (park) {
-        if (dispatcher_polling.load(std::memory_order_seq_cst) &&
-            !wake_pending.exchange(true, std::memory_order_seq_cst)) {
-          lock.unlock();
-          wake_dispatcher();
-          lock.lock();
-        }
-        park = false;
-      }
-      while (!stopping.load(std::memory_order_relaxed) && ready.empty()) {
-        ++idle_workers;
-        ready_cv.wait(lock);
-        --idle_workers;
-        // Consume the wake that (probably) targeted us. A spurious
-        // wakeup can over-consume, which at worst costs one extra
-        // notify later — never a stranded queue.
-        if (notifies_in_flight > 0) --notifies_in_flight;
-      }
-      if (stopping.load(std::memory_order_relaxed)) return;
-      conn = ready.front();
-      ready.pop_front();
-      conn->state = Connection::State::kBusy;
-    }
-    // Queue wait: ready-queue entry to worker claim. Recorded outside the
-    // lock — the connection is exclusively ours now.
-    const std::uint64_t now = steady_now_ns();
-    const std::uint64_t wait_ns =
-        now > conn->ready_since_ns ? now - conn->ready_since_ns : 0;
-    h_queue_wait->record(wait_ns);
-    if (tracer != nullptr) {
-      const std::uint64_t trace_now = tracer->now_ns();
-      tracer->record(obs::TraceSpan{
-          "queue_wait", "server", static_cast<std::uint32_t>(conn->fd),
-          trace_now > wait_ns ? trace_now - wait_ns : 0, wait_ns});
-    }
-    disposition = Disposition::kClose;
-    try {
-      disposition = service(*conn, worker_id);
-    } catch (const std::exception&) {
-      // A connection must never take its worker down (e.g. bad_alloc on
-      // a huge-but-in-bounds payload claim); drop it and serve the next.
-    }
-    done = conn;
-  }
+  return nullptr;
 }
 
 bool DecompServer::Impl::flush(Connection& conn) {
@@ -797,7 +704,6 @@ void DecompServer::Impl::memoize_entry(Connection& conn,
                                        const DecompositionRequest& request,
                                        std::uint32_t worker_id) {
   if (conn.memo_entry != nullptr && conn.memo_request == request) return;
-  kick_helper();  // acquire may block on a cold decomposition
   const SharedResultStore::Acquired acquired = store->acquire(request);
   if (tracer != nullptr && !acquired.from_cache) {
     record_decompose_trace(acquired.entry->result().telemetry, worker_id);
@@ -872,12 +778,11 @@ bool complete_frame_buffered(const Connection& conn) {
 
 }  // namespace
 
-Disposition DecompServer::Impl::service(Connection& conn,
-                                        std::uint32_t worker_id) {
-  if (!flush(conn)) return Disposition::kClose;
+bool DecompServer::Impl::service(Connection& conn, std::uint32_t worker_id) {
+  if (!flush(conn)) return false;
   if (!conn.saw_eof && !conn.close_after_flush &&
       conn.outbox_bytes <= kOutboxPauseBytes) {
-    if (!read_available(conn)) return Disposition::kClose;
+    if (!read_available(conn)) return false;
   }
 
   int handled = 0;
@@ -944,9 +849,7 @@ Disposition DecompServer::Impl::service(Connection& conn,
     }
     // Keep queued response memory bounded while a pipelining client
     // blasts requests: push bytes to the socket between frames.
-    if (conn.outbox_bytes > kOutboxPauseBytes && !flush(conn)) {
-      return Disposition::kClose;
-    }
+    if (conn.outbox_bytes > kOutboxPauseBytes && !flush(conn)) return false;
   }
 
   // Reclaim consumed input (fully drained: cheap clear; else compact so
@@ -961,24 +864,18 @@ Disposition DecompServer::Impl::service(Connection& conn,
     conn.inpos = 0;
   }
 
-  if (!flush(conn)) return Disposition::kClose;
-  if (conn.close_after_flush) {
-    return conn.outbox.empty() ? Disposition::kClose : Disposition::kPark;
-  }
+  if (!flush(conn)) return false;
+  conn.runnable = false;
+  if (conn.close_after_flush) return !conn.outbox.empty();
   if (complete_frame_buffered(conn)) {
     // More parsed work is already buffered; skip the poll round-trip
     // unless backpressure wants the outbox drained first.
-    if (conn.outbox_bytes <= kOutboxPauseBytes &&
-        !stopping.load(std::memory_order_relaxed)) {
-      return Disposition::kRequeue;
-    }
-    return Disposition::kPark;
+    conn.runnable = conn.outbox_bytes <= kOutboxPauseBytes;
+    return true;
   }
-  if (conn.saw_eof) {
-    // Nothing more will arrive; any trailing partial frame is dropped.
-    return conn.outbox.empty() ? Disposition::kClose : Disposition::kPark;
-  }
-  return Disposition::kPark;
+  // After EOF nothing more will arrive; any trailing partial frame is
+  // dropped.
+  return !conn.saw_eof || !conn.outbox.empty();
 }
 
 void DecompServer::Impl::enqueue(
@@ -1031,7 +928,6 @@ void DecompServer::Impl::handle_frame(Connection& conn,
     case MessageType::kRunRequest: {
       const RunRequest req = decode_run_request(payload);
       run_requests.fetch_add(1, std::memory_order_relaxed);
-      kick_helper();  // acquire may block on a cold decomposition
       const SharedResultStore::Acquired acquired =
           store->acquire(req.request);
       if (tracer != nullptr && !acquired.from_cache) {
@@ -1089,7 +985,6 @@ void DecompServer::Impl::handle_frame(Connection& conn,
           break;
         case QueryKind::kDistance:
           // The first distance query on an entry builds its oracle.
-          if (!entry.distance_oracle_built()) kick_helper();
           out.value = entry.estimate_distance(req.u, req.v);
           break;
       }
@@ -1102,7 +997,6 @@ void DecompServer::Impl::handle_frame(Connection& conn,
       const BoundaryRequest req = decode_boundary_request(payload);
       boundary_requests.fetch_add(1, std::memory_order_relaxed);
       memoize_entry(conn, req.request, worker_id);
-      kick_helper();  // the entry builds its boundary list on first use
       // Zero-copy: the edge-list chunk views the stored boundary.
       enqueue(conn,
               encode_boundary_response_frame(conn.memo_entry->boundary_arcs()),
@@ -1112,9 +1006,6 @@ void DecompServer::Impl::handle_frame(Connection& conn,
     case MessageType::kBatchRequest: {
       const BatchRequest req = decode_batch_request(payload);
       batch_requests.fetch_add(1, std::memory_order_relaxed);
-      // The batch may block on several cold decompositions, and each entry
-      // builds its boundary list on first use (boundary_edges below).
-      kick_helper();
       const std::vector<SharedResultStore::Acquired> acquired =
           store->acquire_batch(req.base, req.betas);
       if (tracer != nullptr) {
@@ -1236,7 +1127,6 @@ void DecompServer::start() {
   impl.h_service[3] = &impl.metrics.histogram("server.service.boundary");
   impl.h_service[4] = &impl.metrics.histogram("server.service.batch");
   impl.h_service[5] = &impl.metrics.histogram("server.service.stats");
-  impl.h_queue_wait = &impl.metrics.histogram("server.queue_wait");
   impl.h_response_write = &impl.metrics.histogram("server.response_write");
   impl.g_outbox_bytes = &impl.metrics.gauge("server.outbox_bytes");
   impl.g_store_resident = &impl.metrics.gauge("store.resident_results");
@@ -1245,7 +1135,7 @@ void DecompServer::start() {
   impl.store->set_metrics(&impl.metrics);
   if (!impl.config.trace_path.empty()) {
     impl.tracer =
-        std::make_unique<obs::TraceRecorder>(impl.config.trace_capacity);
+        std::make_unique<obs::TraceRecorder>(kTraceSpans);
   }
 
   impl.open_listener();
@@ -1259,7 +1149,6 @@ void DecompServer::start() {
   impl.stopping.store(false);
   impl.joined = false;
   impl.started.store(true);
-  impl.dispatcher = std::thread([&impl] { impl.dispatch_loop(); });
   impl.workers.reserve(static_cast<std::size_t>(impl.config.workers));
   for (int i = 0; i < impl.config.workers; ++i) {
     const std::uint32_t worker_id = static_cast<std::uint32_t>(i);
@@ -1278,14 +1167,12 @@ void DecompServer::wait() {
     impl.stop_cv.wait(lock, [&] { return impl.stopping.load(); });
     if (impl.joined.exchange(true)) return;
   }
-  if (impl.dispatcher.joinable()) impl.dispatcher.join();
   for (std::thread& worker : impl.workers) {
     if (worker.joinable()) worker.join();
   }
   impl.workers.clear();
   for (auto& [fd, conn] : impl.conns) ::close(fd);
   impl.conns.clear();
-  impl.ready.clear();
   // Every queued-but-unflushed response died with its connection.
   if (impl.g_outbox_bytes != nullptr) impl.g_outbox_bytes->set(0);
   if (impl.tracer != nullptr && !impl.config.trace_path.empty()) {

@@ -9,20 +9,21 @@
 /// by every worker, and a response's `from_cache` bit is a fleet-wide
 /// property rather than a per-worker accident.
 ///
-/// Connections are **never pinned to workers**. A dispatcher thread polls
-/// every parked connection (plus the listener); when bytes or write space
-/// arrive, the connection moves to a shared ready queue and any idle
-/// worker checks it out exclusively, does non-blocking reads/writes,
-/// handles the complete frames it buffered (responses stay in request
-/// order per connection — the protocol's pipelining guarantee), then
-/// parks it again. Workers never block on sockets: a stalled sender or a
-/// non-draining reader costs a poll slot, not a worker. Zero-copy
+/// Connections are **never pinned to workers**, and there is no dispatcher
+/// thread: the workers take turns leading (leader/followers). The one
+/// leader polls the listener and every parked connection; when bytes or
+/// write space arrive it claims one ready connection, hands the poll to
+/// the next idle worker, and serves the claim itself — non-blocking
+/// reads/writes, the complete frames it buffered (responses stay in
+/// request order per connection — the protocol's pipelining guarantee) —
+/// then parks it again. Workers never block on sockets: a stalled sender
+/// or a non-draining reader costs a poll slot, not a worker. Zero-copy
 /// framing: array-carrying responses are written straight out of the
 /// stored result (protocol.hpp EncodedFrame), with the store entry's
 /// shared_ptr parked beside the frame until the last byte flushes.
 ///
 /// Lifecycle: construct with a `ServerConfig`, `start()` (binds, loads
-/// the graph, spawns the dispatcher + pool — throws with a
+/// the graph, spawns the worker pool — throws with a
 /// `path: errno-message` string when the socket is unavailable), then
 /// either `wait()` for a stop (client kShutdownRequest or
 /// `request_stop()`) or call `stop()` directly. Shutdown is graceful:
@@ -71,8 +72,8 @@ struct ServerConfig {
   /// Loopback TCP port, used when `socket_path` is empty. 0 picks an
   /// ephemeral port; read it back with DecompServer::port().
   std::uint16_t tcp_port = 0;
-  /// Worker threads draining the shared ready queue (a dispatcher thread
-  /// runs in addition to these).
+  /// Worker threads; the server runs exactly this many, one of which
+  /// polls the connections at a time.
   int workers = 1;
   /// Cached decompositions to restore into the shared store before
   /// serving.
@@ -96,13 +97,11 @@ struct ServerConfig {
   /// **paged** — only "mpx" decomposes, and the info response reports the
   /// block cache's lifetime hit/miss/eviction counters.
   std::uint64_t memory_budget_bytes = 0;
-  /// When non-empty, record per-request spans (queue_wait, service,
-  /// decompose phases, response_write) and export them as Chrome
-  /// trace-event JSON to this path when the server stops
-  /// (docs/OBSERVABILITY.md).
+  /// When non-empty, record per-request spans (service, decompose
+  /// phases, response_write) in a 64Ki-span ring (oldest overwritten) and
+  /// export them as Chrome trace-event JSON to this path when the server
+  /// stops (docs/OBSERVABILITY.md).
   std::string trace_path;
-  /// Span ring capacity for trace_path (oldest spans overwritten).
-  std::size_t trace_capacity = 1u << 16;
 };
 
 class DecompServer {
@@ -114,7 +113,7 @@ class DecompServer {
   DecompServer& operator=(const DecompServer&) = delete;
 
   /// Map the snapshot, restore warm-start entries, bind the socket, and
-  /// spawn the acceptor + worker pool. Throws std::runtime_error with a
+  /// spawn the worker pool. Throws std::runtime_error with a
   /// `mpx::server: <path>: <errno message>` string when the socket path
   /// or port is unavailable, and std::invalid_argument on a bad config
   /// (no snapshot, workers < 1).

@@ -104,6 +104,24 @@ TEST(DecompositionIo, RejectsMalformedInputs) {
   }
 }
 
+TEST(DecompositionIo, RejectsOutOfRangeDistances) {
+  // A negative distance and one past uint32 max are corruption, not
+  // values to wrap or truncate into the stored distance.
+  for (const char* row : {"0 -1", "0 4294967296"}) {
+    SCOPED_TRACE(row);
+    std::stringstream in(std::string("2 1\n0\n0 0\n") + row + "\n");
+    try {
+      (void)io::read_decomposition(in);
+      FAIL() << "expected runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream in("2 1\n0\n0 0\n0 4294967295\n");  // uint32 max
+  EXPECT_EQ(io::read_decomposition(in).dist_to_center(1), 4294967295u);
+}
+
 std::string serialize_with_telemetry(const Decomposition& dec,
                                      const RunTelemetry& telemetry) {
   std::ostringstream out;

@@ -611,12 +611,6 @@ TEST(Server, StatsRequestReportsPerTypeHistogramsAcrossWorkers) {
     ASSERT_NE(run_h, nullptr);
     EXPECT_LE(run_h->quantile(0.5), run_h->quantile(0.99));
     EXPECT_EQ(run_h->quantile(1.0), run_h->max);
-    // Queue-wait is recorded once per dispatcher->worker claim; every
-    // request needed at least one claim.
-    const obs::HistogramSnapshot* queue_h =
-        stats.metrics.histogram("server.queue_wait");
-    ASSERT_NE(queue_h, nullptr);
-    EXPECT_GE(queue_h->count, 9u);
     // The session bridge feeds decomp.*: exactly the cold computes.
     EXPECT_EQ(stats.metrics.counter_or("decomp.computes"),
               stats.store_computes);
@@ -690,7 +684,6 @@ TEST(Server, TraceFileCapturesServedRequests) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"service.run\""), std::string::npos);
   EXPECT_NE(trace.find("\"service.boundary\""), std::string::npos);
-  EXPECT_NE(trace.find("\"queue_wait\""), std::string::npos);
   EXPECT_NE(trace.find("\"response_write\""), std::string::npos);
   EXPECT_NE(trace.find("\"decompose.shift\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
@@ -832,6 +825,41 @@ TEST(Server, IdleConnectionsBeyondWorkerCountDoNotStarveService) {
   for (const int fd : idle) ::close(fd);
 }
 
+TEST(Server, CachedQueriesAreServedWhileAnotherConnectionComputes) {
+  mpx::testing::TempDir dir("mpx_server");
+  const std::string path = dir.file("grid.mpxs");
+  io::save_snapshot(path, generators::grid2d(1000, 1000));
+  ServedSnapshot served(dir, path, /*workers=*/2);
+  const DecompositionRequest cached = request(0.4, 1);
+  const DecompositionRequest cold = request(0.02, 2);
+
+  DecompClient querier = served.connect();
+  (void)querier.run(cached);  // now resident in the shared store
+  const StatsResponse before = served.server->stats();
+
+  // A second connection starts a cold decomposition of the 1M-vertex
+  // grid (well over 100 ms); it occupies one of the two workers.
+  auto cold_run = std::async(std::launch::async, [&] {
+    DecompClient computer = served.connect();
+    return computer.run(cold);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (served.server->stats().run_requests == before.run_requests &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(served.server->stats().run_requests, before.run_requests);
+
+  // The other worker must answer the cached query while the cold run is
+  // still computing (the store counts a compute once it publishes).
+  const cluster_t answer = querier.cluster_of(7, cached);
+  EXPECT_EQ(served.server->stats().results_computed, before.results_computed)
+      << "a cached query waited behind another connection's cold run";
+  EXPECT_FALSE(cold_run.get().from_cache);
+  EXPECT_EQ(answer, served.session.cluster_of(7, cached));
+}
+
 TEST(Server, InterleavedPipelinedClientsAllProgressOnOneWorker) {
   mpx::testing::TempDir dir("mpx_server");
   const CsrGraph g = generators::grid2d(12, 12);
@@ -968,8 +996,8 @@ TEST(Server, AcceptBacksOffUnderFdExhaustionAndRecovers) {
     FAIL() << "client connect failed under the tight fd limit";
   }
 
-  // The dispatcher must register the fd exhaustion as a backoff (the old
-  // accept loop hot-spun on the permanently-ready listener here).
+  // The polling worker must register the fd exhaustion as a backoff (the
+  // old accept loop hot-spun on the permanently-ready listener here).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (served.server->stats().accept_backoffs == 0 &&
@@ -1004,8 +1032,9 @@ TEST(Server, DropsConnectionsThatStopDrainingResponses) {
   // byte: the responses (~80 KB each) overflow the kernel socket buffer
   // into the server's outbox, the outbox stops draining, and the write
   // timeout must drop the connection instead of holding its memory
-  // forever. (A worker was never blocked on it either way — that is the
-  // dispatch design — so the timeout is purely a resource bound.)
+  // forever. (A worker was never blocked on it either way — a parked
+  // connection only costs a poll slot — so the timeout is purely a
+  // resource bound.)
   const int dead = connect_raw(server.config().socket_path);
   ASSERT_GE(dead, 0);
   RunRequest msg;
