@@ -3,7 +3,6 @@
 #include <numeric>
 #include <vector>
 
-#include "bfs/frontier.hpp"
 #include "core/options.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
@@ -26,20 +25,20 @@ Decomposition ball_growing_decomposition(const CsrGraph& g,
     std::iota(order.begin(), order.end(), 0u);
   }
 
-  // The newest BFS level of the current ball, held in the library's shared
-  // Frontier type and reused across balls (clear() costs only the members
-  // of the finished level, so the total frontier cost stays O(n)).
-  Frontier level(n);
-  Frontier next_level(n);
+  // The newest BFS level of the current ball, in discovery order, reused
+  // across balls. owner[] already keeps every vertex out of a second
+  // level, so a plain list is enough.
+  std::vector<vertex_t> level;
+  std::vector<vertex_t> next_level;
 
   // Absorb v into the ball rooted at `root`, returning the number of
   // undirected edges from v into the ball so far. Counting at insertion
   // time tallies each internal edge exactly once (at its later endpoint).
   const auto absorb = [&](vertex_t v, vertex_t root, std::uint32_t d,
-                          Frontier& into) -> edge_t {
+                          std::vector<vertex_t>& into) -> edge_t {
     owner[v] = root;
     dist[v] = d;
-    into.insert_serial(v);
+    into.push_back(v);
     edge_t new_internal = 0;
     for (const vertex_t nbr : g.neighbors(v)) {
       if (owner[nbr] == root) ++new_internal;
@@ -61,7 +60,7 @@ Decomposition ball_growing_decomposition(const CsrGraph& g,
       // unassigned vertices. Arcs into previously carved pieces were paid
       // for by those pieces.
       edge_t boundary = 0;
-      for (const vertex_t u : level.vertices()) {
+      for (const vertex_t u : level) {
         for (const vertex_t nbr : g.neighbors(u)) {
           if (owner[nbr] == kInvalidVertex) ++boundary;
         }
@@ -76,7 +75,7 @@ Decomposition ball_growing_decomposition(const CsrGraph& g,
       }
       ++radius;
       next_level.clear();
-      for (const vertex_t u : level.vertices()) {
+      for (const vertex_t u : level) {
         for (const vertex_t nbr : g.neighbors(u)) {
           if (owner[nbr] == kInvalidVertex) {
             internal_edges += absorb(nbr, root, radius, next_level);

@@ -11,9 +11,11 @@ namespace mpx {
 MultiSourceBfsResult delayed_multi_source_bfs(
     const CsrGraph& g, std::span<const std::uint32_t> start_round,
     std::span<const std::uint32_t> rank, std::uint32_t max_rounds,
-    TraversalEngine engine, MultiSourceBfsWorkspace* workspace) {
+    TraversalEngine engine, MultiSourceBfsWorkspace* workspace,
+    RoundLog* log) {
   return detail::delayed_multi_source_bfs_impl(g, start_round, rank,
-                                               max_rounds, engine, workspace);
+                                               max_rounds, engine, workspace,
+                                               log);
 }
 
 }  // namespace mpx

@@ -61,13 +61,14 @@ struct MultiSourceBfsResult {
 /// words, the activation-bucket schedule, and the traversal engine's
 /// frontier/unsettled structures. Repeated runs over graphs of similar size
 /// re-initialize these in place instead of reallocating ~18n bytes per
-/// call. Not thread-safe; one workspace per thread.
+/// call. A default-constructed workspace holds no storage; the first run
+/// sizes it. Not thread-safe; one workspace per thread.
 struct MultiSourceBfsWorkspace {
   TraversalWorkspace traversal;
   std::vector<std::uint64_t> claim;
   std::vector<vertex_t> bucket_centers;
-  std::vector<std::size_t> bucket_offsets;
-  std::vector<std::size_t> bucket_cursor;
+  std::vector<std::uint32_t> bucket_ends;
+  std::vector<std::uint32_t> bucket_cursors;
 };
 
 /// Run the delayed multi-source BFS on the shared traversal engine.
@@ -76,7 +77,8 @@ struct MultiSourceBfsWorkspace {
 /// (push / pull / direction-optimizing auto) changes only the schedule,
 /// never the result: owner and settle_round are byte-identical across
 /// engines and thread counts. `workspace`, when non-null, supplies the
-/// scratch buffers (the result is identical with or without it).
+/// scratch buffers (the result is identical with or without it). `log`,
+/// when non-null, receives one record per executed round (RoundLog).
 ///
 /// Preconditions: start_round.size() == rank.size() == n; every vertex with
 /// start_round != kNoStart has a rank, and ranks of such centers are
@@ -86,6 +88,6 @@ struct MultiSourceBfsWorkspace {
     std::span<const std::uint32_t> rank,
     std::uint32_t max_rounds = kInfDist,
     TraversalEngine engine = TraversalEngine::kAuto,
-    MultiSourceBfsWorkspace* workspace = nullptr);
+    MultiSourceBfsWorkspace* workspace = nullptr, RoundLog* log = nullptr);
 
 }  // namespace mpx

@@ -3,13 +3,14 @@
 // namespace). Templated on the graph type so the same claim semantics run
 // over an in-memory CsrGraph and an out-of-core storage::PagedGraph; the
 // engine-facing entry points stay in multi_source_bfs.hpp (CsrGraph) and
-// core/decomposer.cpp (paged). Determinism is unchanged: every
-// cross-thread race is an atomic min over a packed (rank, center) word,
-// so owner/settle arrays are byte-identical across thread counts and
-// graph backends that decode identical adjacency.
+// core/decomposer.cpp (paged). Determinism: every cross-thread race is an
+// atomic min over a packed (rank, center) word, so owner/settle arrays are
+// byte-identical across thread counts and graph backends that decode
+// identical adjacency.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <span>
 #include <vector>
@@ -17,82 +18,111 @@
 #include "bfs/multi_source_bfs.hpp"
 #include "bfs/traversal.hpp"
 #include "parallel/atomics.hpp"
+#include "parallel/bucket_rank.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "support/assert.hpp"
 #include "support/types.hpp"
 
 namespace mpx::detail {
 
+// One 64-bit claim word per vertex carries the whole search state:
+//   * unclaimed: all ones;
+//   * live (offered this round): the top bit, then the 32-bit rank, then
+//     the 31-bit center — so a plain integer min picks the smallest rank;
+//   * settled: top bit clear, then the settle round, then the center.
+// Every settled word is below every live word, so a push offer never
+// lowers a settled vertex and never mistakes it for a new candidate, and
+// the owner/settle arrays are read off the settled words after the search.
+// Centers are vertex ids, so n must stay below 2^31.
 inline constexpr std::uint64_t kMsBfsUnclaimed =
     std::numeric_limits<std::uint64_t>::max();
+inline constexpr std::uint64_t kMsBfsLive = std::uint64_t{1} << 63;
+inline constexpr unsigned kMsBfsCenterBits = 31;
+inline constexpr std::uint64_t kMsBfsCenterMask =
+    (std::uint64_t{1} << kMsBfsCenterBits) - 1;
 
-/// Priority word: smaller rank wins; the low half carries the center id so
-/// the winner can be recovered from the word alone.
+/// The live word of an offer from `center`'s search.
 constexpr std::uint64_t msbfs_priority_word(std::uint32_t rank,
                                             vertex_t center) noexcept {
-  return (static_cast<std::uint64_t>(rank) << 32) |
+  return kMsBfsLive |
+         (static_cast<std::uint64_t>(rank) << kMsBfsCenterBits) |
          static_cast<std::uint64_t>(center);
 }
 
-/// Center id packed in the low half of a priority word.
-constexpr vertex_t msbfs_center_of(std::uint64_t word) noexcept {
-  return static_cast<vertex_t>(word & 0xffffffffULL);
+/// The word of a vertex settled at round t by `center`'s search.
+constexpr std::uint64_t msbfs_settled_word(std::uint32_t t,
+                                           vertex_t center) noexcept {
+  return (static_cast<std::uint64_t>(t) << kMsBfsCenterBits) |
+         static_cast<std::uint64_t>(center);
 }
 
-/// Activation schedule: centers grouped by start round, as one flat array
-/// plus offsets (counting sort on start_round). Views the storage held by a
+/// Center id of a live or settled word.
+constexpr vertex_t msbfs_center_of(std::uint64_t word) noexcept {
+  return static_cast<vertex_t>(word & kMsBfsCenterMask);
+}
+
+/// Settle round of a settled word; no round matches a live or unclaimed
+/// word (their top bit survives the shift).
+constexpr std::uint64_t msbfs_round_of(std::uint64_t word) noexcept {
+  return word >> kMsBfsCenterBits;
+}
+
+/// Activation schedule: centers grouped by start round, ids ascending
+/// within a round, as one flat array plus bucket end offsets. Built by
+/// bucket_scatter (parallel/bucket_rank.hpp), the stable count-and-scatter
+/// the shift rank also uses; start rounds are exact integer keys, so the
+/// rank's finishing pass is not needed. Views the storage held by a
 /// MultiSourceBfsWorkspace so repeated runs reuse it.
 struct ActivationBuckets {
-  std::span<const vertex_t> centers;     // grouped by round
-  std::span<const std::size_t> offsets;  // offsets[t]..offsets[t+1]
+  std::span<const vertex_t> centers;      // grouped by round
+  std::span<const std::uint32_t> ends;    // ends[t]: end of round t's group
   std::uint32_t max_round = 0;
 
+  [[nodiscard]] bool empty() const { return ends.empty(); }
+
   [[nodiscard]] std::span<const vertex_t> bucket(std::uint32_t t) const {
-    if (t > max_round) return {};
-    return {centers.data() + offsets[t], offsets[t + 1] - offsets[t]};
+    if (empty() || t > max_round) return {};
+    const std::uint32_t lo = t == 0 ? 0 : ends[t - 1];
+    return {centers.data() + lo, ends[t] - lo};
   }
 };
 
 inline ActivationBuckets build_buckets(
     std::span<const std::uint32_t> start_round, MultiSourceBfsWorkspace& ws) {
-  ActivationBuckets b;
   const std::size_t n = start_round.size();
-  std::uint32_t max_round = 0;
-  std::size_t active = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (start_round[v] == kNoStart) continue;
-    ++active;
-    max_round = std::max(max_round, start_round[v]);
-  }
-  b.max_round = max_round;
-  const std::size_t num_rounds = static_cast<std::size_t>(max_round) + 2;
-  ws.bucket_offsets.assign(num_rounds + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (start_round[v] != kNoStart) ++ws.bucket_offsets[start_round[v] + 1];
-  }
-  for (std::size_t t = 1; t <= num_rounds; ++t) {
-    ws.bucket_offsets[t] += ws.bucket_offsets[t - 1];
-  }
-  ws.bucket_centers.resize(active);
-  ws.bucket_cursor.assign(ws.bucket_offsets.begin(),
-                          ws.bucket_offsets.end() - 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (start_round[v] != kNoStart) {
-      ws.bucket_centers[ws.bucket_cursor[start_round[v]]++] =
-          static_cast<vertex_t>(v);
-    }
-  }
+  // 1 + the latest start round, 0 when no vertex self-activates.
+  const std::uint32_t rounds = parallel_max<std::uint32_t>(
+      std::size_t{0}, n, std::uint32_t{0}, [&](std::size_t v) {
+        return start_round[v] == kNoStart ? 0u : start_round[v] + 1;
+      });
+  if (rounds == 0) return {};
+  // Bucket `rounds` collects the kNoStart vertices, which never activate.
+  const auto bucket_of = [&](std::uint32_t v) {
+    return start_round[v] == kNoStart ? rounds : start_round[v];
+  };
+  ws.bucket_centers.resize(n);
+  bucket_scatter(
+      n, static_cast<std::size_t>(rounds) + 1, bucket_of,
+      [&](std::uint32_t v, std::uint32_t* cursors) {
+        ws.bucket_centers[cursors[bucket_of(v)]++] = v;
+      },
+      ws.bucket_ends, ws.bucket_cursors);
+  ActivationBuckets b;
   b.centers = ws.bucket_centers;
-  b.offsets = ws.bucket_offsets;
+  b.ends = std::span<const std::uint32_t>(ws.bucket_ends).first(rounds);
+  b.max_round = rounds - 1;
   return b;
 }
 
-/// The claim semantics of Algorithm 1 for the traversal engine: a 64-bit
-/// (rank, center) priority word per vertex, lowered by atomic min from the
-/// push path and by a local min from the pull path. Every vertex offered a
-/// claim in round t settles in round t, so claim words never carry state
-/// across rounds for unsettled vertices — which is exactly why push and
-/// pull resolve identical winners.
+/// The claim semantics of Algorithm 1 for the traversal engine: a claim
+/// word per vertex, lowered by atomic min from the push path and by a
+/// local min from the pull path. Every vertex offered a claim in round t
+/// settles in round t, so claim words never carry live state across
+/// rounds — which is exactly why push and pull resolve identical winners.
+/// One load of a neighbor's word tells a push whether it is settled,
+/// already a candidate this round, or new; the thread whose offer replaces
+/// kMsBfsUnclaimed is the one that emits the candidate.
 ///
 /// Each expand()/pull() iterates exactly one neighbors() span at a time
 /// per calling thread, which is the span-lifetime contract PagedGraph
@@ -102,19 +132,19 @@ struct DelayedBfsVisitor {
   const Graph& g;
   std::span<const std::uint32_t> rank;
   ActivationBuckets buckets;
-  MultiSourceBfsResult& result;
   std::vector<std::uint64_t>& claim;  // workspace-owned, reset per run
 
   DelayedBfsVisitor(const Graph& graph,
                     std::span<const std::uint32_t> start_round,
                     std::span<const std::uint32_t> rank_in,
-                    MultiSourceBfsResult& out, MultiSourceBfsWorkspace& ws)
+                    MultiSourceBfsWorkspace& ws)
       : g(graph),
         rank(rank_in),
         buckets(build_buckets(start_round, ws)),
-        result(out),
         claim(ws.claim) {
-    claim.assign(g.num_vertices(), kMsBfsUnclaimed);
+    claim.resize(g.num_vertices());
+    parallel_for(std::size_t{0}, claim.size(),
+                 [&](std::size_t v) { claim[v] = kMsBfsUnclaimed; });
   }
 
   [[nodiscard]] std::span<const vertex_t> activations(std::uint32_t t) const {
@@ -122,51 +152,90 @@ struct DelayedBfsVisitor {
   }
 
   [[nodiscard]] bool activations_done(std::uint32_t t) const {
-    return buckets.centers.empty() || t > buckets.max_round;
+    return buckets.empty() || t > buckets.max_round;
   }
 
   [[nodiscard]] bool settled(vertex_t v) const {
-    return atomic_load(result.settle_round[v]) != kInfDist;
+    return atomic_load(claim[v]) < kMsBfsLive;
   }
 
+  /// Lower `slot` to `word`; true iff it was unclaimed before. Shared
+  /// when other threads may offer concurrently.
+  template <bool Shared>
+  static bool offer(std::uint64_t& slot, std::uint64_t word) {
+    if constexpr (Shared) {
+      std::atomic_ref<std::uint64_t> ref(slot);
+      std::uint64_t current = ref.load(std::memory_order_relaxed);
+      while (word < current) {
+        if (ref.compare_exchange_weak(current, word,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+          return current == kMsBfsUnclaimed;
+        }
+      }
+      return false;
+    } else {
+      const std::uint64_t current = slot;
+      if (!(word < current)) return false;
+      slot = word;
+      return current == kMsBfsUnclaimed;
+    }
+  }
+
+  /// The live word of the search that holds `word` (live or settled).
+  [[nodiscard]] std::uint64_t offer_word(std::uint64_t word) const {
+    const vertex_t c = msbfs_center_of(word);
+    return msbfs_priority_word(rank[c], c);
+  }
+
+  template <bool Shared>
   bool offer_self(vertex_t c) {
+    // Most late activations find their vertex settled; skip the rank read.
     if (settled(c)) return false;
-    atomic_fetch_min(claim[c], msbfs_priority_word(rank[c], c));
-    return true;
+    return offer<Shared>(claim[c], msbfs_priority_word(rank[c], c));
   }
 
-  template <typename Emit>
+  template <bool Shared, typename Emit>
   void expand(vertex_t u, Emit&& emit) {
-    const vertex_t c = result.owner[u];
-    const std::uint64_t word = msbfs_priority_word(rank[c], c);
+    const std::uint64_t word = offer_word(atomic_load(claim[u]));
     for (const vertex_t v : g.neighbors(u)) {
-      if (settled(v)) continue;
-      atomic_fetch_min(claim[v], word);
-      emit(v);
+      if (offer<Shared>(claim[v], word)) emit(v);
     }
   }
 
   bool pull(vertex_t v, std::uint32_t t) {
     // Start from any self-activation claim recorded this round, then take
     // the min over neighbors settled last round. Only this iteration
-    // touches v, so the final word is written without atomics.
+    // writes v's word; neighbors settling concurrently carry round t.
     std::uint64_t word = claim[v];
-    const std::uint32_t prev = t - 1;
     for (const vertex_t u : g.neighbors(v)) {
-      if (atomic_load(result.settle_round[u]) == prev) {
-        const vertex_t c = result.owner[u];
-        word = std::min(word, msbfs_priority_word(rank[c], c));
+      const std::uint64_t neighbor = atomic_load(claim[u]);
+      if (msbfs_round_of(neighbor) == t - 1) {
+        word = std::min(word, offer_word(neighbor));
       }
     }
     if (word == kMsBfsUnclaimed) return false;
-    result.owner[v] = msbfs_center_of(word);
-    atomic_store(result.settle_round[v], t);
+    atomic_store(claim[v], msbfs_settled_word(t, msbfs_center_of(word)));
     return true;
   }
 
   void settle(vertex_t v, std::uint32_t t) {
-    result.settle_round[v] = t;
-    result.owner[v] = msbfs_center_of(claim[v]);
+    claim[v] = msbfs_settled_word(t, msbfs_center_of(claim[v]));
+  }
+
+  /// Read owner and settle round off the settled words.
+  void finish(MultiSourceBfsResult& out) const {
+    const vertex_t n = g.num_vertices();
+    out.owner.resize(n);
+    out.settle_round.resize(n);
+    parallel_for(vertex_t{0}, n, [&](vertex_t v) {
+      const std::uint64_t word = claim[v];
+      const bool reached = word < kMsBfsLive;
+      out.owner[v] = reached ? msbfs_center_of(word) : kInvalidVertex;
+      out.settle_round[v] = reached
+                                ? static_cast<std::uint32_t>(msbfs_round_of(word))
+                                : kInfDist;
+    });
   }
 };
 
@@ -176,7 +245,8 @@ template <typename Graph>
 [[nodiscard]] MultiSourceBfsResult delayed_multi_source_bfs_impl(
     const Graph& g, std::span<const std::uint32_t> start_round,
     std::span<const std::uint32_t> rank, std::uint32_t max_rounds,
-    TraversalEngine engine, MultiSourceBfsWorkspace* workspace) {
+    TraversalEngine engine, MultiSourceBfsWorkspace* workspace,
+    RoundLog* log = nullptr) {
   const vertex_t n = g.num_vertices();
   MPX_EXPECTS(start_round.size() == n);
   MPX_EXPECTS(rank.size() == n);
@@ -184,11 +254,9 @@ template <typename Graph>
   MultiSourceBfsWorkspace local;
   MultiSourceBfsWorkspace& ws = workspace != nullptr ? *workspace : local;
 
-  MultiSourceBfsResult result;
-  result.owner.assign(n, kInvalidVertex);
-  result.settle_round.assign(n, kInfDist);
+  MPX_EXPECTS(n <= kMsBfsCenterMask);
 
-  DelayedBfsVisitor<Graph> vis(g, start_round, rank, result, ws);
+  DelayedBfsVisitor<Graph> vis(g, start_round, rank, ws);
   TraversalParams params;
   params.engine = engine;
   params.max_rounds = max_rounds;
@@ -210,8 +278,11 @@ template <typename Graph>
         avg_degree > 0.0 && static_cast<double>(max_degree) >= 8.0 * avg_degree;
     params.alpha_div = skewed ? 4 : 1;
   }
-  const TraversalStats stats = run_traversal(g, vis, params, &ws.traversal);
+  const TraversalStats stats =
+      run_traversal(g, vis, params, &ws.traversal, log);
 
+  MultiSourceBfsResult result;
+  vis.finish(result);
   result.rounds = stats.rounds;
   result.pull_rounds = stats.pull_rounds;
   result.arcs_scanned = stats.arcs_scanned;

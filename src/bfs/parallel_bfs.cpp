@@ -10,9 +10,10 @@ namespace mpx {
 namespace {
 
 /// Plain BFS claim semantics for the traversal engine: first search to
-/// reach a vertex wins. Push claims race on a parent CAS; pull scans the
-/// neighbors of an unvisited vertex for one settled at the previous level
-/// and adopts it, writing without atomics.
+/// reach a vertex wins. Push claims race on a parent CAS, whose one winner
+/// emits the candidate; pull scans the neighbors of an unvisited vertex for
+/// one settled at the previous level and adopts it, writing without
+/// atomics.
 struct PlainBfsVisitor {
   const CsrGraph& g;
   std::span<const vertex_t> sources;
@@ -30,19 +31,17 @@ struct PlainBfsVisitor {
     return atomic_load(result.dist[v]) != kInfDist;
   }
 
+  template <bool /*Shared*/>
   bool offer_self(vertex_t s) {
     // Sources keep parent == kInvalidVertex; dist is written at settle.
     return !settled(s);
   }
 
-  template <typename Emit>
+  template <bool /*Shared*/, typename Emit>
   void expand(vertex_t u, Emit&& emit) {
     for (const vertex_t v : g.neighbors(u)) {
       if (settled(v)) continue;
-      // First offer of the round wins the parent slot; later offers still
-      // emit so the candidate bitmap (not this CAS) decides membership.
-      atomic_claim(result.parent[v], kInvalidVertex, u);
-      emit(v);
+      if (atomic_claim(result.parent[v], kInvalidVertex, u)) emit(v);
     }
   }
 

@@ -65,15 +65,17 @@ DecompositionResult run_mpx_impl(const Graph& g,
   MultiSourceBfsResult bfs = detail::delayed_multi_source_bfs_impl(
       g, std::span<const std::uint32_t>(ws.shifts.start_round),
       std::span<const std::uint32_t>(ws.shifts.rank), kInfDist, req.engine,
-      &ws.bfs);
+      &ws.bfs, ws.round_log);
   result.telemetry.search_seconds = phase.seconds();
 
   phase.reset();
   const vertex_t n = g.num_vertices();
-  result.settle.resize(n);
+  // Distances overwrite the settle rounds in place, so the call holds one
+  // n-sized array fewer at its peak.
+  result.settle = std::move(bfs.settle_round);
   parallel_for(vertex_t{0}, n, [&](vertex_t v) {
     MPX_EXPECTS(bfs.owner[v] != kInvalidVertex);
-    result.settle[v] = bfs.dist_to_owner(v, ws.shifts.start_round);
+    result.settle[v] -= ws.shifts.start_round[bfs.owner[v]];
   });
   result.decomposition = Decomposition(bfs.owner, result.settle);
   result.decomposition.bfs_rounds = bfs.rounds;

@@ -163,12 +163,16 @@ struct AlgorithmInfo {
 /// multi-source-BFS claim/frontier structures. Passing the same workspace
 /// to repeated decompose() calls on one graph eliminates every per-call
 /// scratch allocation (the result arrays themselves are always freshly
-/// owned by the returned DecompositionResult). Not thread-safe: one
-/// workspace per thread.
+/// owned by the returned DecompositionResult). Constructing one allocates
+/// nothing and starts no threads; the first decompose() sizes it. Not
+/// thread-safe: one workspace per thread.
 struct DecompositionWorkspace {
   Shifts shifts;
   ShiftWorkspace shift_scratch;
   MultiSourceBfsWorkspace bfs;
+  /// When non-null, the "mpx" search appends one record per round to it
+  /// (see RoundLog in bfs/traversal.hpp). Null by default: no recording.
+  RoundLog* round_log = nullptr;
 };
 
 /// Validates the options (validate_partition_options, core/options.hpp)

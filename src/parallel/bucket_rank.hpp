@@ -189,30 +189,26 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
 
 }  // namespace detail
 
-/// Sort the implicit items {0, ..., n-1} ascending by (key_of(i), i) into
-/// `scratch.items` via one bucketed counting pass. Requirements:
-///  * bucket_of(key) < num_buckets for every key key_of ever returns;
-///  * bucket_of is monotone in the key order: key1 < key2 implies
-///    bucket_of(key1) <= bucket_of(key2) (equal keys, equal bucket).
-/// key_of is invoked twice per item (count + scatter) and must be a pure
-/// function of its argument.
-///
-/// The count and scatter use the parallel-radix layout: [0, n) splits into
-/// one contiguous chunk per thread of the OpenMP team (a single chunk below
-/// kSerialGrain), each chunk histograms its ids into its own row of
+/// Stable parallel counting scatter of the implicit items {0, ..., n-1}
+/// by bucket — the standard parallel-radix layout. [0, n) splits into one
+/// contiguous chunk per thread of the OpenMP team (a single chunk below
+/// kSerialGrain), each chunk histograms bucket_of(i) into its own row of
 /// `chunk_cursors`, one exclusive scan in (bucket, chunk) order turns the
-/// rows into private write cursors, and each chunk scatters its ids in
-/// order through its own cursors. No counter is shared, so there are no
-/// atomics, and the scatter is stable: every bucket holds its ids in
-/// ascending order before the finishing pass. The finishing pass then
-/// sorts the buckets independently over the whole team. The result is
-/// identical for every thread count.
-template <typename Key, typename KeyFn, typename BucketFn>
-void bucketed_sort_ids(std::size_t n, std::size_t num_buckets, KeyFn&& key_of,
-                       BucketFn&& bucket_of, BucketSortScratch<Key>& scratch) {
+/// rows into private write cursors, and each chunk then calls
+/// scatter(i, cursors) for its items in order; scatter must write item i
+/// at position cursors[bucket_of(i)]++. No counter is shared, so there are
+/// no atomics, and the scatter is stable: every bucket holds its items in
+/// ascending order. On return bucket_ends[b] is the end offset of bucket b
+/// (its start is bucket_ends[b - 1], or 0). The layout is identical for
+/// every thread count. Requires bucket_of(i) < num_buckets; bucket_of is
+/// invoked once per item, and scatter once per item.
+template <typename BucketFn, typename ScatterFn>
+void bucket_scatter(std::size_t n, std::size_t num_buckets,
+                    BucketFn&& bucket_of, ScatterFn&& scatter,
+                    std::vector<std::uint32_t>& bucket_ends,
+                    std::vector<std::uint32_t>& chunk_cursors) {
   MPX_EXPECTS(num_buckets > 0);
-  scratch.items.resize(n);
-  scratch.bucket_ends.resize(num_buckets);
+  bucket_ends.resize(num_buckets);
 #if defined(_OPENMP)
   const std::size_t team =
       n < kSerialGrain ? 1 : static_cast<std::size_t>(omp_get_max_threads());
@@ -221,55 +217,111 @@ void bucketed_sort_ids(std::size_t n, std::size_t num_buckets, KeyFn&& key_of,
 #endif
   // One chunk per team thread; if the runtime grants a smaller team, the
   // worksharing loops below hand a thread several chunks.
-  scratch.chunk_cursors.resize(team * num_buckets);
-  if (scratch.segment_scratch.size() < team) {
-    scratch.segment_scratch.resize(team);
-  }
+  chunk_cursors.resize(team * num_buckets);
   const auto chunk_row = [&](std::size_t c) {
-    return scratch.chunk_cursors.data() + c * num_buckets;
+    return chunk_cursors.data() + c * num_buckets;
   };
 
   const auto count_chunk = [&](std::size_t c) {
     std::uint32_t* const row = chunk_row(c);
     std::fill_n(row, num_buckets, std::uint32_t{0});
     for (std::size_t i = c * n / team; i < (c + 1) * n / team; ++i) {
-      ++row[bucket_of(key_of(static_cast<std::uint32_t>(i)))];
+      ++row[bucket_of(static_cast<std::uint32_t>(i))];
     }
   };
 
   // Exclusive scan in (bucket, chunk) order: chunk c's cursor in bucket b
   // starts after every earlier bucket and after chunks 0..c-1 of bucket b.
-  // Also sizes every thread's segment scratch for the largest bucket, so
-  // the dynamic finishing schedule never grows a buffer on a warm call.
   const auto scan = [&] {
     std::uint32_t offset = 0;
-    std::uint32_t largest = 0;
     for (std::size_t b = 0; b < num_buckets; ++b) {
-      const std::uint32_t start = offset;
       for (std::size_t c = 0; c < team; ++c) {
         std::uint32_t& cursor = chunk_row(c)[b];
         const std::uint32_t count = cursor;
         cursor = offset;
         offset += count;
       }
-      scratch.bucket_ends[b] = offset;
-      largest = std::max(largest, offset - start);
-    }
-    if (largest > detail::kInsertionSortMax) {
-      for (std::size_t t = 0; t < team; ++t) {
-        detail::reserve_segment<Key>(scratch.segment_scratch[t], largest);
-      }
+      bucket_ends[b] = offset;
     }
   };
 
   const auto scatter_chunk = [&](std::size_t c) {
     std::uint32_t* const row = chunk_row(c);
     for (std::size_t i = c * n / team; i < (c + 1) * n / team; ++i) {
-      const Key key = key_of(static_cast<std::uint32_t>(i));
-      scratch.items[row[bucket_of(key)]++] =
-          KeyedItem<Key>{key, static_cast<std::uint32_t>(i)};
+      scatter(static_cast<std::uint32_t>(i), row);
     }
   };
+
+  if (team == 1) {
+    count_chunk(0);
+    scan();
+    scatter_chunk(0);
+    return;
+  }
+#if defined(_OPENMP)
+  const auto chunk_count = static_cast<std::int64_t>(team);
+#pragma omp parallel num_threads(static_cast<int>(team))
+  {
+#pragma omp for schedule(static, 1)
+    for (std::int64_t c = 0; c < chunk_count; ++c) {
+      count_chunk(static_cast<std::size_t>(c));
+    }
+#pragma omp single
+    scan();
+#pragma omp for schedule(static, 1) nowait
+    for (std::int64_t c = 0; c < chunk_count; ++c) {
+      scatter_chunk(static_cast<std::size_t>(c));
+    }
+  }
+#endif
+}
+
+/// Sort the implicit items {0, ..., n-1} ascending by (key_of(i), i) into
+/// `scratch.items` via one bucketed counting pass. Requirements:
+///  * bucket_of(key) < num_buckets for every key key_of ever returns;
+///  * bucket_of is monotone in the key order: key1 < key2 implies
+///    bucket_of(key1) <= bucket_of(key2) (equal keys, equal bucket).
+/// key_of is invoked twice per item (count + scatter) and must be a pure
+/// function of its argument.
+///
+/// The count and scatter are bucket_scatter's, so every bucket holds its
+/// ids in ascending order before the finishing pass, which then sorts the
+/// buckets independently over the whole team. The result is identical for
+/// every thread count.
+template <typename Key, typename KeyFn, typename BucketFn>
+void bucketed_sort_ids(std::size_t n, std::size_t num_buckets, KeyFn&& key_of,
+                       BucketFn&& bucket_of, BucketSortScratch<Key>& scratch) {
+  scratch.items.resize(n);
+  bucket_scatter(
+      n, num_buckets,
+      [&](std::uint32_t i) { return bucket_of(key_of(i)); },
+      [&](std::uint32_t i, std::uint32_t* cursors) {
+        const Key key = key_of(i);
+        scratch.items[cursors[bucket_of(key)]++] = KeyedItem<Key>{key, i};
+      },
+      scratch.bucket_ends, scratch.chunk_cursors);
+
+#if defined(_OPENMP)
+  const std::size_t team =
+      n < kSerialGrain ? 1 : static_cast<std::size_t>(omp_get_max_threads());
+#else
+  const std::size_t team = 1;
+#endif
+  // Size every thread's segment scratch for the largest bucket, so the
+  // dynamic finishing schedule never grows a buffer on a warm call.
+  if (scratch.segment_scratch.size() < team) {
+    scratch.segment_scratch.resize(team);
+  }
+  std::uint32_t largest = 0;
+  for (std::size_t b = 0; b < num_buckets; ++b) {
+    const std::uint32_t lo = b == 0 ? 0 : scratch.bucket_ends[b - 1];
+    largest = std::max(largest, scratch.bucket_ends[b] - lo);
+  }
+  if (largest > detail::kInsertionSortMax) {
+    for (std::size_t t = 0; t < team; ++t) {
+      detail::reserve_segment<Key>(scratch.segment_scratch[t], largest);
+    }
+  }
 
   const auto finish_bucket =
       [&](std::size_t b, typename BucketSortScratch<Key>::SegmentScratch& seg) {
@@ -285,29 +337,15 @@ void bucketed_sort_ids(std::size_t n, std::size_t num_buckets, KeyFn&& key_of,
       };
 
   if (team == 1) {
-    count_chunk(0);
-    scan();
-    scatter_chunk(0);
     for (std::size_t b = 0; b < num_buckets; ++b) {
       finish_bucket(b, scratch.segment_scratch[0]);
     }
     return;
   }
 #if defined(_OPENMP)
-  const auto chunk_count = static_cast<std::int64_t>(team);
   const auto bucket_count = static_cast<std::int64_t>(num_buckets);
 #pragma omp parallel num_threads(static_cast<int>(team))
   {
-#pragma omp for schedule(static, 1)
-    for (std::int64_t c = 0; c < chunk_count; ++c) {
-      count_chunk(static_cast<std::size_t>(c));
-    }
-#pragma omp single
-    scan();
-#pragma omp for schedule(static, 1)
-    for (std::int64_t c = 0; c < chunk_count; ++c) {
-      scatter_chunk(static_cast<std::size_t>(c));
-    }
     auto& seg =
         scratch.segment_scratch[static_cast<std::size_t>(omp_get_thread_num())];
 #pragma omp for schedule(dynamic, 4) nowait

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <vector>
 
@@ -16,11 +17,15 @@
 #include "core/partition.hpp"
 #include "core/shifts.hpp"
 #include "graph/generators.hpp"
-#include "parallel/parallel_for.hpp"
+#include "parallel/thread_env.hpp"
 #include "support/random.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/invariants.hpp"
 #include "tests/support/property.hpp"
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 namespace mpx {
 namespace {
@@ -34,105 +39,143 @@ constexpr TraversalEngine kEngines[] = {
 // Frontier representation
 // ---------------------------------------------------------------------------
 
+/// The pack steps as a team of one runs them.
+void pack(Frontier& f) {
+  f.pack_count(0, 1);
+  f.pack_place(0, 1);
+  f.pack_extract(0, 1);
+}
+
 TEST(Frontier, StartsEmpty) {
   Frontier f(100);
   EXPECT_TRUE(f.empty());
   EXPECT_EQ(f.size(), 0u);
   EXPECT_EQ(f.universe(), 100u);
-  EXPECT_FALSE(f.contains(0));
-  EXPECT_FALSE(f.contains(99));
+  EXPECT_TRUE(f.vertices().empty());
 }
 
-TEST(Frontier, InsertSerialDedupsAndKeepsBothReps) {
+TEST(Frontier, MarkDedupsAndPacksAscending) {
   Frontier f(200);
-  EXPECT_TRUE(f.insert_serial(7));
-  EXPECT_TRUE(f.insert_serial(64));   // second bitmap word
-  EXPECT_TRUE(f.insert_serial(199));  // last vertex
-  EXPECT_FALSE(f.insert_serial(7));   // duplicate
+  EXPECT_TRUE(f.mark<false>(199, 0));  // last vertex
+  EXPECT_TRUE(f.mark<false>(7, 0));
+  EXPECT_TRUE(f.mark<false>(64, 0));   // second bitmap word
+  EXPECT_FALSE(f.mark<false>(7, 0));   // duplicate
+  EXPECT_TRUE(f.empty());              // members change only at a pack
+  pack(f);
   EXPECT_EQ(f.size(), 3u);
-  EXPECT_TRUE(f.contains(7));
-  EXPECT_TRUE(f.contains(64));
-  EXPECT_TRUE(f.contains(199));
-  EXPECT_FALSE(f.contains(8));
   const auto verts = f.vertices();
   EXPECT_EQ(std::vector<vertex_t>(verts.begin(), verts.end()),
             (std::vector<vertex_t>{7, 64, 199}));
 }
 
-TEST(Frontier, ParallelInsertThenEnsureSparseIsSortedAndDeduped) {
-  // Straddle several summary blocks (> 4096 vertices) and offer duplicates
-  // from a parallel loop — the compacted sparse view must be the sorted
-  // set regardless of schedule.
+// Marks duplicates from every thread of a team, then packs in team steps
+// with barriers, as run_traversal does. Returns the members and checks
+// that the per-part slices tile them in order.
+std::vector<vertex_t> team_mark_and_pack(Frontier& f,
+                                         const std::vector<vertex_t>& vs) {
+  std::vector<std::span<const vertex_t>> slices(
+      static_cast<std::size_t>(num_threads()));
+  std::size_t parts = 1;
+#pragma omp parallel
+  {
+#if defined(_OPENMP)
+    const std::size_t me = static_cast<std::size_t>(omp_get_thread_num());
+    const std::size_t team = static_cast<std::size_t>(omp_get_num_threads());
+#else
+    const std::size_t me = 0;
+    const std::size_t team = 1;
+#endif
+#pragma omp for schedule(dynamic, 7)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(2 * vs.size());
+         ++i) {
+      f.mark(vs[static_cast<std::size_t>(i) % vs.size()], me);
+    }
+    f.pack_count(me, team);
+#pragma omp barrier
+    f.pack_place(me, team);
+#pragma omp barrier
+    slices[me] = f.pack_extract(me, team);
+#pragma omp single
+    parts = team;
+  }
+  const auto verts = f.vertices();
+  const vertex_t* at = verts.data();
+  for (std::size_t p = 0; p < parts; ++p) {
+    EXPECT_EQ(slices[p].data(), at) << "part " << p;
+    at += slices[p].size();
+  }
+  EXPECT_EQ(at, verts.data() + verts.size());
+  return {verts.begin(), verts.end()};
+}
+
+TEST(Frontier, TeamMarkThenPackIsSortedAndDeduped) {
+  // Straddle several 4096-vertex blocks and offer every member twice from
+  // a parallel loop — the packed list must be the sorted set regardless of
+  // schedule, with each part's slice in place.
   const vertex_t n = 3 * 4096 + 123;
   std::vector<vertex_t> members;
   for (vertex_t v = 0; v < n; v += 3) members.push_back(v);
-  Frontier f(n);
-  f.invalidate_sparse();
-  parallel_for(std::size_t{0}, members.size() * 2, [&](std::size_t i) {
-    f.insert_atomic(members[i % members.size()]);
-  });
-  f.ensure_sparse();
-  const auto verts = f.vertices();
-  EXPECT_EQ(std::vector<vertex_t>(verts.begin(), verts.end()), members);
-  for (const vertex_t v : members) EXPECT_TRUE(f.contains(v));
-  EXPECT_FALSE(f.contains(1));
+  Frontier f(n, static_cast<std::size_t>(num_threads()));
+  EXPECT_EQ(team_mark_and_pack(f, members), members);
 }
 
-TEST(Frontier, MergeWordMatchesPerBitInserts) {
+TEST(Frontier, TeamPackMatchesSerialPackAtEveryWidth) {
+  Xoshiro256pp rng(17);
+  const vertex_t n = 70000;
+  std::vector<vertex_t> vs(5000);
+  for (auto& v : vs) v = static_cast<vertex_t>(rng.next_below(n));
+  Frontier serial(n);
+  for (const vertex_t v : vs) serial.mark<false>(v, 0);
+  pack(serial);
+  const std::vector<vertex_t> expected(serial.vertices().begin(),
+                                       serial.vertices().end());
+  ASSERT_TRUE(std::is_sorted(expected.begin(), expected.end()));
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedNumThreads guard(threads);
+    Frontier f(n, static_cast<std::size_t>(threads));
+    EXPECT_EQ(team_mark_and_pack(f, vs), expected);
+  }
+}
+
+TEST(Frontier, MarkWordMatchesPerBitMarks) {
   Frontier a(300);
   Frontier b(300);
-  a.invalidate_sparse();
-  b.invalidate_sparse();
   const std::uint64_t bits = 0xDEADBEEFCAFE1234ULL;
-  a.merge_word(2, bits);
+  a.mark_word(2, bits, 0);
   for (unsigned i = 0; i < 64; ++i) {
-    if ((bits >> i) & 1u) {
-      b.insert_atomic(static_cast<vertex_t>(2 * 64 + i));
-    }
+    if ((bits >> i) & 1u) b.mark(static_cast<vertex_t>(2 * 64 + i), 0);
   }
-  a.ensure_sparse();
-  b.ensure_sparse();
+  pack(a);
+  pack(b);
   const auto av = a.vertices();
   const auto bv = b.vertices();
+  EXPECT_EQ(av.size(), static_cast<std::size_t>(std::popcount(bits)));
   EXPECT_EQ(std::vector<vertex_t>(av.begin(), av.end()),
             std::vector<vertex_t>(bv.begin(), bv.end()));
 }
 
-TEST(Frontier, ClearEmptiesAndIsReusable) {
+TEST(Frontier, PackLeavesCleanMarksForTheNextRound) {
   Frontier f(10000);
-  f.invalidate_sparse();
-  for (vertex_t v = 0; v < 10000; v += 7) f.insert_atomic(v);
-  f.ensure_sparse();
+  for (vertex_t v = 0; v < 10000; v += 7) f.mark(v, 0);
+  pack(f);
   EXPECT_GT(f.size(), 0u);
-  f.clear();
+  // The next pack holds only what was marked since the last one.
+  EXPECT_TRUE(f.mark<false>(4242, 0));
+  pack(f);
+  EXPECT_EQ(f.size(), 1u);
+  EXPECT_EQ(f.vertices()[0], 4242u);
+  pack(f);
   EXPECT_TRUE(f.empty());
-  for (vertex_t v = 0; v < 10000; ++v) {
-    ASSERT_FALSE(f.contains(v)) << v;
-  }
-  // Reuse after clear goes through the serial path again.
-  EXPECT_TRUE(f.insert_serial(4242));
-  EXPECT_TRUE(f.contains(4242));
-  EXPECT_EQ(f.size(), 1u);
-}
-
-TEST(Frontier, AssignReplacesContents) {
-  Frontier f(64);
-  f.assign(std::vector<vertex_t>{5, 5, 63, 0});
-  EXPECT_EQ(f.size(), 3u);  // duplicate collapsed
-  f.assign(std::vector<vertex_t>{1});
-  EXPECT_EQ(f.size(), 1u);
-  EXPECT_FALSE(f.contains(5));
-  EXPECT_TRUE(f.contains(1));
 }
 
 TEST(Frontier, WordBoundaryUniverses) {
   for (const vertex_t n : {1u, 63u, 64u, 65u, 4096u, 4097u}) {
     Frontier f(n);
-    f.invalidate_sparse();
-    for (vertex_t v = 0; v < n; ++v) f.insert_atomic(v);
-    f.ensure_sparse();
+    for (vertex_t v = 0; v < n; ++v) f.mark(v, 0);
+    pack(f);
     EXPECT_EQ(f.size(), static_cast<std::size_t>(n)) << "n=" << n;
-    f.clear();
+    pack(f);
     EXPECT_TRUE(f.empty());
   }
 }

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "support/random.hpp"
 #include "bfs/multi_source_bfs.hpp"
+#include "bfs/multi_source_bfs_impl.hpp"
 #include "bfs/sequential_bfs.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_env.hpp"
@@ -254,6 +256,42 @@ TEST(DelayedBfs, DisconnectedComponentsEachGetOwners) {
     // Owner must live in the same component (same cycle of 6).
     EXPECT_EQ(r.owner[v] / 6, v / 6);
   }
+}
+
+TEST(DelayedBfs, ActivationScheduleGroupsCentersByStartRound) {
+  // The schedule is a stable counting scatter: round t's bucket holds
+  // exactly the vertices starting at t, ids ascending, at every width;
+  // kNoStart vertices appear in no bucket.
+  const std::size_t n = 30000;  // several chunks per thread
+  std::vector<std::uint32_t> start(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint64_t h = hash_stream(11, v);
+    start[v] = h % 7 == 0 ? kNoStart : static_cast<std::uint32_t>(h % 40);
+  }
+  std::vector<std::vector<vertex_t>> want(40);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (start[v] != kNoStart) {
+      want[start[v]].push_back(static_cast<vertex_t>(v));
+    }
+  }
+  while (want.back().empty()) want.pop_back();
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedNumThreads guard(threads);
+    MultiSourceBfsWorkspace ws;
+    const detail::ActivationBuckets b = detail::build_buckets(start, ws);
+    ASSERT_EQ(b.max_round + 1, want.size());
+    for (std::uint32_t t = 0; t <= b.max_round + 1; ++t) {
+      const auto got = b.bucket(t);
+      const std::vector<vertex_t> expect =
+          t < want.size() ? want[t] : std::vector<vertex_t>{};
+      EXPECT_EQ(std::vector<vertex_t>(got.begin(), got.end()), expect)
+          << "round " << t;
+    }
+  }
+  MultiSourceBfsWorkspace ws;
+  const std::vector<std::uint32_t> none(100, kNoStart);
+  EXPECT_TRUE(detail::build_buckets(none, ws).empty());
 }
 
 }  // namespace

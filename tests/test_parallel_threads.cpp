@@ -1,23 +1,32 @@
 // Thread-count sweep for the parallel primitives: scan, reduce, sort and
 // pack must return the bitwise-identical answer at 1, 2 and 8 threads (the
 // library's determinism contract — results are pure functions of the input,
-// never of the schedule). Inputs span the serial/parallel grain boundary so
-// both code paths run at every width.
+// never of the schedule), and the traversal engine the identical search at
+// 1, 2, 3, 4 and 8, in memory and paged. Inputs span the serial/parallel
+// grain boundary so both code paths run at every width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "bfs/multi_source_bfs.hpp"
+#include "core/decomposer.hpp"
 #include "core/shifts.hpp"
+#include "graph/snapshot.hpp"
+#include "graph/snapshot_blocks.hpp"
 #include "parallel/pack.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 #include "parallel/thread_env.hpp"
+#include "storage/paged_graph.hpp"
 #include "support/random.hpp"
 #include "tests/support/property.hpp"
+#include "tests/support/temp_dir.hpp"
 
 namespace mpx {
 namespace {
@@ -129,43 +138,99 @@ TEST(ParallelThreads, PackMatchesSequentialAtEveryWidth) {
   }
 }
 
+// Traversal widths: 3 splits every round's passes unevenly, 4 is a
+// common core count, 8 oversubscribes small hosts.
+constexpr int kTraversalWidths[] = {1, 2, 3, 4, 8};
+
+/// The graph and shifts of the traversal rows: big enough that rounds cross
+/// the engine's serial-round cutoff, so parallel passes actually fork at
+/// widths > 1 (asserted through the round log).
+struct TraversalCase {
+  CsrGraph g;
+  Shifts shifts;
+};
+
+TraversalCase traversal_case(std::uint64_t seed) {
+  Xoshiro256pp rng(seed);
+  TraversalCase c;
+  c.g = mpx::testing::random_connected_graph(rng, 20000, 8.0);
+  PartitionOptions popt;
+  popt.beta = 0.2;
+  popt.seed = seed;
+  c.shifts = generate_shifts(c.g.num_vertices(), popt);
+  return c;
+}
+
 TEST(ParallelThreads, TraversalEnginesMatchSequentialAtEveryWidth) {
   // The traversal engine's contract doubled: for a fixed seed the result
   // must be invariant across thread widths AND across engines (push /
-  // pull / auto). The reference is the push engine at one thread.
+  // pull / auto). The reference is the push engine at one thread; the
+  // round and arc counters must match it too, and each engine's pull-round
+  // count must match that engine at one thread.
   mpx::testing::for_each_seed(3, [](std::uint64_t seed) {
-    Xoshiro256pp rng(seed);
-    // Big enough to cross the engine's serial-round cutoff so parallel
-    // phases actually fork at widths > 1.
-    const CsrGraph g = mpx::testing::random_connected_graph(rng, 4000, 8.0);
-    PartitionOptions popt;
-    popt.beta = 0.2;
-    popt.seed = seed;
-    const Shifts shifts = generate_shifts(g.num_vertices(), popt);
+    const TraversalCase c = traversal_case(seed);
+    const Shifts& shifts = c.shifts;
 
-    std::vector<vertex_t> ref_owner;
-    std::vector<std::uint32_t> ref_settle;
-    {
-      ScopedNumThreads guard(1);
-      const MultiSourceBfsResult r = delayed_multi_source_bfs(
-          g, shifts.start_round, shifts.rank, kInfDist,
-          TraversalEngine::kPush);
-      ref_owner = r.owner;
-      ref_settle = r.settle_round;
-    }
-    for (const int threads : kThreadCounts) {
-      for (const TraversalEngine engine :
-           {TraversalEngine::kPush, TraversalEngine::kPull,
-            TraversalEngine::kAuto}) {
+    const auto run = [&](int threads, TraversalEngine engine) {
+      ScopedNumThreads guard(threads);
+      return delayed_multi_source_bfs(c.g, shifts.start_round, shifts.rank,
+                                      kInfDist, engine);
+    };
+    const MultiSourceBfsResult ref = run(1, TraversalEngine::kPush);
+    RoundLog log;
+    (void)delayed_multi_source_bfs(c.g, shifts.start_round, shifts.rank,
+                                   kInfDist, TraversalEngine::kPush, nullptr,
+                                   &log);
+    ASSERT_TRUE(std::any_of(
+        log.rounds().begin(), log.rounds().end(),
+        [](const TraversalRound& r) {
+          return r.activations + r.frontier >= kSerialGrain / 4;
+        }));
+    for (const TraversalEngine engine :
+         {TraversalEngine::kPush, TraversalEngine::kPull,
+          TraversalEngine::kAuto}) {
+      const std::uint32_t ref_pull_rounds = run(1, engine).pull_rounds;
+      for (const int threads : kTraversalWidths) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " engine=" +
                      std::string(traversal_engine_name(engine)));
-        ScopedNumThreads guard(threads);
-        const MultiSourceBfsResult r = delayed_multi_source_bfs(
-            g, shifts.start_round, shifts.rank, kInfDist, engine);
-        EXPECT_EQ(r.owner, ref_owner);
-        EXPECT_EQ(r.settle_round, ref_settle);
+        const MultiSourceBfsResult r = run(threads, engine);
+        EXPECT_EQ(r.owner, ref.owner);
+        EXPECT_EQ(r.settle_round, ref.settle_round);
+        EXPECT_EQ(r.rounds, ref.rounds);
+        EXPECT_EQ(r.arcs_scanned, ref.arcs_scanned);
+        EXPECT_EQ(r.pull_rounds, ref_pull_rounds);
       }
     }
+  });
+}
+
+TEST(ParallelThreads, PagedTraversalMatchesInMemoryAtFourThreads) {
+  // The same search served out-of-core under a two-block budget, at four
+  // threads: the paged backend must reproduce the in-memory result byte
+  // for byte, counters included.
+  mpx::testing::TempDir tmp("threads_paged");
+  mpx::testing::for_each_seed(2, [&](std::uint64_t seed) {
+    const TraversalCase c = traversal_case(seed);
+    const std::string path = tmp.file("g" + std::to_string(seed) + ".mpxs");
+    io::SnapshotWriteOptions cold;
+    cold.tier = io::SnapshotTier::kCold;
+    cold.block_size = 64;
+    io::save_snapshot(path, c.g, cold);
+    const auto reader = std::make_shared<const io::SnapshotBlockReader>(path);
+
+    DecompositionRequest req;
+    req.beta = 0.2;
+    req.seed = seed;
+    ScopedNumThreads guard(4);
+    const DecompositionResult want = decompose(c.g, req);
+    const storage::PagedGraph paged(
+        reader, 2 * std::uint64_t{reader->block_size()} * sizeof(vertex_t));
+    const DecompositionResult got = decompose(paged, req);
+    EXPECT_GT(got.telemetry.cache_evictions, 0u);
+    EXPECT_EQ(got.owner, want.owner);
+    EXPECT_EQ(got.settle, want.settle);
+    EXPECT_EQ(got.telemetry.rounds, want.telemetry.rounds);
+    EXPECT_EQ(got.telemetry.arcs_scanned, want.telemetry.arcs_scanned);
   });
 }
 

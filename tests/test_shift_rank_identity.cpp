@@ -8,7 +8,8 @@
 // owner/settle arrays drift and every downstream byte-identity guarantee
 // breaks. This suite pins that claim against independent reference
 // implementations of the old sorts, and additionally holds the warm-run
-// zero-allocation property of the workspace-owned scratch.
+// zero-allocation property of the workspace-owned scratch (shift rank and
+// search alike) and that a fresh workspace allocates nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,10 @@
 #include <numeric>
 #include <vector>
 
+#include "bfs/multi_source_bfs.hpp"
 #include "core/decomposer.hpp"
 #include "core/shifts.hpp"
+#include "graph/generators.hpp"
 #include "parallel/thread_env.hpp"
 #include "support/fixtures.hpp"
 #include "support/random.hpp"
@@ -333,6 +336,40 @@ TEST(ShiftRankIdentity, WarmBasisRunsAllocateNothing) {
     }
     const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after, before) << "seed=" << seed;
+  }
+}
+
+TEST(WorkspaceAllocations, DecompositionWorkspaceStartsEmpty) {
+  // A workspace is built where a server opens its store, before any
+  // request: constructing one must not touch the allocator (its first
+  // search sizes it).
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const DecompositionWorkspace ws;
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(ws.bfs.claim.capacity(), 0u);
+  EXPECT_EQ(ws.bfs.traversal.cur.universe(), 0u);
+}
+
+TEST(WorkspaceAllocations, WarmSearchAllocatesOnlyItsResult) {
+  // After one cold call the search's rounds reuse the workspace: a warm
+  // call allocates exactly the two result arrays, however many rounds it
+  // forks.
+  const CsrGraph g = generators::grid2d(300, 300);
+  const Shifts shifts = generate_shifts(g.num_vertices(), opts(0.1, 3));
+  for (const int threads : {1, kWarmThreads}) {
+    ScopedNumThreads guard(threads);
+    MultiSourceBfsWorkspace ws;
+    (void)delayed_multi_source_bfs(g, shifts.start_round, shifts.rank,
+                                   kInfDist, TraversalEngine::kPush, &ws);
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    const MultiSourceBfsResult r =
+        delayed_multi_source_bfs(g, shifts.start_round, shifts.rank,
+                                 kInfDist, TraversalEngine::kPush, &ws);
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 2u) << "threads=" << threads;
+    EXPECT_GT(r.rounds, 0u);
   }
 }
 

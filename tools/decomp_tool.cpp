@@ -5,9 +5,12 @@
 // and CI drives it over the golden snapshots under ASan/UBSan.
 //
 // usage:
-//   decomp_tool run <graph> [opts] [--out <file.dec>]
+//   decomp_tool run <graph> [opts] [--out <file.dec>] [--rounds]
 //       one decomposition; prints quality + telemetry. --out saves the
 //       result with its telemetry block (decomposition_io format).
+//       --rounds also prints the search's per-round log (mpx only): one
+//       row per round with its direction, frontier and settled counts,
+//       arcs, and the seconds of its expand and settle passes.
 //   decomp_tool batch <graph> --betas b1,b2,... [opts]
 //       multi-beta batch through one session: shifts are generated once
 //       per seed and derived per beta. Prints one table row per beta.
@@ -49,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,8 +60,10 @@
 #include "core/decomposer.hpp"
 #include "core/session.hpp"
 #include "graph/io.hpp"
+#include "graph/snapshot_blocks.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
+#include "storage/paged_graph.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -70,7 +76,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  decomp_tool run <graph> [opts] [--out <file.dec>]\n"
+      "  decomp_tool run <graph> [opts] [--out <file.dec>] [--rounds]\n"
       "  decomp_tool batch <graph> --betas b1,b2,... [opts]\n"
       "  decomp_tool query <graph> [opts] [--load <file.dec>]\n"
       "              [--cluster-of V]... [--distance U V] [--boundary]\n"
@@ -93,6 +99,7 @@ struct Cli {
   DecompositionRequest request;
   std::vector<double> betas;                // batch / connect
   std::string out_path;                     // run --out
+  bool rounds = false;                      // run --rounds
   std::string load_path;                    // query --load
   std::vector<mpx::vertex_t> cluster_of;    // query / connect
   bool boundary = false;                    // query / connect
@@ -223,6 +230,8 @@ bool parse_cli(int argc, char** argv, int first, Cli& cli,
       }
     } else if (arg == "--trace" && next(value)) {
       cli.trace_path = value;
+    } else if (arg == "--rounds") {
+      cli.rounds = true;
     } else if (arg == "--run") {
       cli.do_run = true;
     } else if (arg == "--info") {
@@ -295,6 +304,39 @@ void print_result_line(const DecompositionResult& result) {
   row("total", t.total_seconds);
 }
 
+/// Re-runs `req` with a per-round log and prints it. The search is
+/// deterministic, so the log describes the same decomposition run() made.
+void print_round_log(const DecompositionSession& session, const Cli& cli) {
+  if (cli.request.algorithm != "mpx") {
+    std::printf("rounds: only the mpx search keeps a per-round log\n");
+    return;
+  }
+  mpx::RoundLog log;
+  mpx::DecompositionWorkspace ws;
+  ws.round_log = &log;
+  if (session.paged()) {
+    const mpx::storage::PagedGraph paged(
+        std::make_shared<const mpx::io::SnapshotBlockReader>(cli.graph_path),
+        cli.memory_budget_bytes);
+    (void)mpx::decompose(paged, cli.request, &ws);
+  } else {
+    (void)mpx::decompose(session.topology(), cli.request, &ws);
+  }
+  std::printf("per-round log (%zu rounds):\n", log.rounds().size());
+  std::printf("  %5s %4s %9s %9s %9s %11s %10s %10s\n", "round", "dir",
+              "activ", "frontier", "settled", "arcs", "expand_us",
+              "settle_us");
+  for (const mpx::TraversalRound& r : log.rounds()) {
+    std::printf("  %5u %4s %9zu %9zu %9zu %11llu %10.1f %10.1f\n", r.round,
+                r.pull ? "pull" : "push", r.activations, r.frontier,
+                r.settled, static_cast<unsigned long long>(r.arcs),
+                r.expand_seconds * 1e6, r.settle_seconds * 1e6);
+  }
+  if (log.dropped() > 0) {
+    std::printf("  (%zu later rounds not recorded)\n", log.dropped());
+  }
+}
+
 int cmd_algorithms() {
   std::printf("registered algorithms (core/decomposer.hpp):\n");
   for (const mpx::AlgorithmInfo& info : mpx::registered_algorithms()) {
@@ -318,6 +360,7 @@ int cmd_run(const Cli& cli) {
               static_cast<unsigned long long>(cli.request.seed));
   const DecompositionResult& result = session.run(cli.request);
   print_result_line(result);
+  if (cli.rounds) print_round_log(session, cli);
   const std::size_t cut = session.boundary_arcs(cli.request).size();
   const mpx::edge_t m = session.num_edges();
   std::printf("boundary: %zu cut edges (%.2f%% of m)\n", cut,
